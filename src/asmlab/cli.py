@@ -3,7 +3,8 @@
 Subcommands: count, coeff, table, verify, transform, convert.  All counts are
 printed as decimal strings and never as JSON numbers; output is byte-identical
 across runs for identical arguments.  Exit status: 0 success / all checks
-pass, 1 verification failure, 2 usage error.
+pass, 1 verification failure, 2 usage error (bad arguments or input files, a
+malformed ASMLAB_TERM_CAP, or a polynomial outgrowing that cap).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import closed_forms, coefficients, enumeration, objects
 from .enumeration import EXHAUSTIVE_FAMILY_CAP, SINGLE_COUNT_CAP, BottomRowSpec
+from .polynomials import TermCapExceeded, term_cap
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -112,7 +114,10 @@ def _grid_rows(which, n, jobs):
 def cmd_table(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be positive")
-    rows = _grid_rows(args.which, args.n, args.jobs)
+    try:
+        rows = _grid_rows(args.which, args.n, args.jobs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if args.format == "csv":
         for row in rows:
             print(",".join(row))
@@ -173,6 +178,8 @@ def _verify_cases(suite: str, n_max: int):
 
 
 def cmd_verify(args) -> int:
+    if args.n_max < 1:
+        raise UsageError("--n-max must be positive; a check of zero cases is not a pass")
     failures = []
     for label, thunk in _verify_cases(args.suite, args.n_max):
         report = thunk()
@@ -299,10 +306,19 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     try:
+        _check_term_cap()
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, TermCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+
+
+def _check_term_cap() -> None:
+    """Reject a malformed ASMLAB_TERM_CAP before any work starts."""
+    try:
+        term_cap()
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ finite differences at the anchored evaluation point, tabulated, checked
 against the brute-force trapezoid counts, and run through the polynomial
 identities relating them (cyclic rotation, reflection/translation, the
 circuit relation, the linear system, and the s/i symmetry).
+
+alpha_n is held in the binomial basis, where the differences are index
+moves: Delta^m C(x, e) = C(x, e - m) and nabla^m C(x, e) = C(x - m, e - m).
+A coefficient is then one pass over the terms, and a coefficient table one
+basis change per axis.  The re-expansion check works in the power basis.
 """
 
 from __future__ import annotations
@@ -12,12 +17,21 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import factorial
 from typing import Sequence
 
-from .enumeration import GammaSpec, count_trapezoids, gamma_count
-from .polynomials import MultiPoly, alpha_via_recursion, binomial_in_var
+from .enumeration import GammaSpec, count_trapezoids, gamma_count, special_point
+from .polynomials import (
+    BinomialPoly,
+    MultiPoly,
+    alpha_via_recursion,
+    axis_transform,
+    binom,
+    binomial_in_var,
+)
 from .reports import VerificationReport
 
 
@@ -32,6 +46,8 @@ class IndexTuplePair:
     def __init__(self, n: int, s: Sequence[int] = (), i: Sequence[int] = ()):
         s = tuple(int(x) for x in s)
         i = tuple(int(x) for x in i)
+        if n < 1:
+            raise ValueError("n must be positive")
         if len(s) + len(i) > n:
             raise ValueError("need c + d <= n")
         for name, tup in (("s", s), ("i", i)):
@@ -67,113 +83,123 @@ class CoefficientTable:
         return buf.getvalue()
 
 
-@lru_cache(maxsize=None)
-def _specialized_alpha(n: int, c: int, d: int) -> MultiPoly:
+@lru_cache(maxsize=128)
+def _specialized_alpha(n: int, c: int, d: int) -> BinomialPoly:
     """alpha_n with the middle variables pinned to (c+1, ..., n-d)."""
-    poly = alpha_via_recursion(n)
-    for var in range(c + 1, n - d + 1):
-        poly = poly.substitute_value(var, var)
-    return poly
+    return alpha_via_recursion(n).specialize({var: var for var in range(c + 1, n - d + 1)})
 
 
-def _anchor_point(n: int, c: int, d: int) -> list[int]:
-    point = list(range(1, n + 1))  # middle slots are dead after specialization
+def _difference_value(poly: BinomialPoly, s: tuple[int, ...], i: tuple[int, ...], point) -> int:
+    """(-1)^(|s|-c) times Delta^{s_c-1}_1 ... Delta^{s_1-1}_c
+    nabla^{i_1-1}_{n-d+1} ... nabla^{i_d-1}_n poly, evaluated at `point`.
+
+    `poly` is alpha_n or a specialization of it, so no exponent reaches n.
+    """
+    n, c, d = poly.arity, len(s), len(i)
+    lowered = [0] * n  # Delta^m or nabla^m lowers the exponent by m ...
+    moved = [0] * n  # ... and nabla^m also moves the argument down by m
     for var in range(1, c + 1):
-        point[var - 1] = c + 1
-    for var in range(n - d + 1, n + 1):
-        point[var - 1] = n - d
-    return point
+        lowered[var - 1] = s[c - var] - 1
+    for l in range(1, d + 1):
+        lowered[n - d + l - 1] = moved[n - d + l - 1] = i[l - 1] - 1
+    tables = [
+        [binom(x - mv, e - m) for e in range(n)] for x, m, mv in zip(point, lowered, moved)
+    ]
+    sign = -1 if (sum(s) - c) % 2 else 1
+    return sign * poly.contract(tables)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _extract(n: int, s: tuple[int, ...], i: tuple[int, ...]) -> int:
     c, d = len(s), len(i)
-    poly = _specialized_alpha(n, c, d)
-    for var in range(1, c + 1):  # Delta^{s_{c+1-var}-1} on k_var
-        for _ in range(s[c - var] - 1):
-            poly = poly.forward_difference(var)
-    for l in range(1, d + 1):  # delta^{i_l-1} on k_{n-d+l}
-        for _ in range(i[l - 1] - 1):
-            poly = poly.backward_difference(n - d + l)
-    sign = -1 if (sum(s) - c) % 2 else 1
-    return sign * poly.evaluate_int(_anchor_point(n, c, d))
+    return _difference_value(_specialized_alpha(n, c, d), s, i, special_point(n, c, d))
 
 
-def extract_coefficient(pair: IndexTuplePair, alpha: MultiPoly | None = None) -> int:
-    """A(n; s; i) by symbolic finite differences at the anchored point.
-
-    `alpha` may supply a replacement polynomial for alpha_n; it must have
-    arity n.
-    """
-    if alpha is not None:
-        if alpha.arity != pair.n:
-            raise ValueError("polynomial arity does not match n")
-        if alpha != alpha_via_recursion(pair.n):
-            raise ValueError("supplied polynomial is not alpha_n")
+def extract_coefficient(pair: IndexTuplePair) -> int:
+    """A(n; s; i) by finite differences of alpha_n at the anchored point."""
     return _extract(pair.n, pair.s, pair.i)
 
 
 def coefficient_table(n: int, c: int, d: int) -> CoefficientTable:
     """All A(n; s; i) for (s, i) in [1,n]^c x [1,n]^d.
 
-    Fills the dense grid by peeling difference powers one variable at a
-    time, so each table cell costs one evaluation rather than a full
-    difference cascade.
+    One basis change per differenced axis takes exponent e to difference
+    power m with weight Delta^m C(x, e) = C(x, e - m), or nabla^m C(x, e) =
+    C(x - m, e - m), at the anchored point; the other axes are pinned.
     """
     if c + d > n:
         raise ValueError("need c + d <= n")
-    point = _anchor_point(n, c, d)
+    point = special_point(n, c, d)
+    axes = list(range(c)) + list(range(n - d, n))
+    grid = _specialized_alpha(n, c, d).terms
+    for axis in axes:
+        x = point[axis]
+        nabla = axis >= n - d
+        weights = [[binom(x - m if nabla else x, e - m) for m in range(n)] for e in range(n)]
+        grid = axis_transform(grid, axis, weights.__getitem__)
     table = CoefficientTable(n, c, d)
-    vars_ = list(range(1, c + 1)) + list(range(n - d + 1, n + 1))
-
-    def fill(poly: MultiPoly, depth: int, powers: tuple[int, ...]) -> None:
-        if depth == len(vars_):
-            s = tuple(powers[c - j] + 1 for j in range(1, c + 1))  # s_j from var c+1-j
-            i = tuple(powers[c + l - 1] + 1 for l in range(1, d + 1))
-            sign = -1 if (sum(s) - c) % 2 else 1
-            table.values[(s, i)] = sign * poly.evaluate_int(point)
-            return
-        var = vars_[depth]
-        current = poly
-        for power in range(n):
-            fill(current, depth + 1, powers + (power,))
-            if power < n - 1:
-                current = (
-                    current.forward_difference(var)
-                    if depth < c
-                    else current.backward_difference(var)
-                )
-
-    fill(_specialized_alpha(n, c, d), 0, ())
+    for powers in product(range(n), repeat=c + d):
+        key = [0] * n
+        for axis, m in zip(axes, powers):
+            key[axis] = m
+        s = tuple(powers[c - j] + 1 for j in range(1, c + 1))  # s_j from var c+1-j
+        i = tuple(m + 1 for m in powers[c:])
+        sign = -1 if (sum(s) - c) % 2 else 1
+        table.values[(s, i)] = sign * grid.get(tuple(key), 0)
     return table
 
 
 def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
-    """Reassemble the binomial-basis expansion from the table and compare it
-    term-for-term with the specialized alpha_n."""
+    """Reassemble the binomial-basis expansion from the table in the power
+    basis and compare it term-for-term with the specialized alpha_n."""
     n, c, d = table.n, table.c, table.d
     report = VerificationReport(
         "expansion-reconstruction", f"n={n}, c={c}, d={d}"
     )
-    total = MultiPoly.zero(n)
+    # factors[axis][m]: the power-basis terms (power, coefficient * scale) of
+    # the binomial that multiplies the coefficients with difference power m
+    # on that axis; scale clears every denominator, m! divides (n-1)!
+    scale = factorial(n - 1)
+    factors = []
+    for l in range(1, c + 1):  # C(k_l - c - 1, s_{c+1-l} - 1)
+        factors.append([_univariate(binomial_in_var(n, l, -c - 1, m), l, scale) for m in range(n)])
+    for l in range(1, d + 1):  # C(k_{n-d+l} - n + d - 2 + i_l, i_l - 1)
+        var = n - d + l
+        factors.append(
+            [_univariate(binomial_in_var(n, var, -n + d - 1 + m, m), var, scale) for m in range(n)]
+        )
+    axes = list(range(c)) + list(range(n - d, n))
+    scaled: dict[tuple[int, ...], int] = {}
     for (s, i), value in table.values.items():
         if value == 0:
             continue
         sign = -1 if (sum(s) + c) % 2 else 1
-        term = MultiPoly.constant(n, sign * value)
-        for l in range(1, c + 1):  # C(k_l - c - 1, s_{c+1-l} - 1)
-            term = term * binomial_in_var(n, l, -c - 1, s[c - l] - 1)
-        for l in range(1, d + 1):  # C(k_{n-d+l} - n + d - 2 + i_l, i_l - 1)
-            term = term * binomial_in_var(n, n - d + l, -n + d - 2 + i[l - 1], i[l - 1] - 1)
-        total = total + term
+        powers = [s[c - 1 - a] - 1 for a in range(c)] + [m - 1 for m in i]
+        for parts in product(*(factors[a][m] for a, m in enumerate(powers))):
+            key = [0] * n
+            coef = sign * value
+            for axis, (power, factor) in zip(axes, parts):
+                key[axis] = power
+                coef *= factor
+            key = tuple(key)
+            scaled[key] = scaled.get(key, 0) + coef
+    denominator = scale ** (c + d)
+    terms = {e: Fraction(v, denominator) for e, v in scaled.items()}
+    total = MultiPoly(n, terms)
     target = _specialized_alpha(n, c, d)
     if total != target:
-        diff = total - target
-        exps = sorted(diff.terms)[0]
+        target = target.to_multipoly()
+        exps = sorted((total - target).terms)[0]
         report.counterexamples.append(
             (f"term {exps}", str(target.terms.get(exps, 0)), str(total.terms.get(exps, 0)))
         )
     return report
+
+
+def _univariate(poly: MultiPoly, var: int, scale: int) -> list[tuple[int, int]]:
+    """(power of k_var, coefficient * scale) for a polynomial in k_var alone;
+    scale must clear the denominators."""
+    return [(exps[var - 1], (coef * scale).numerator) for exps, coef in poly.terms.items()]
 
 
 def verify_theorem7(n: int, c: int, d: int) -> VerificationReport:
@@ -281,17 +307,7 @@ def check_remark_symmetry(n: int, c: int, d: int) -> VerificationReport:
 def gamma_formula_value(spec: GammaSpec) -> int:
     """The finite-difference side of the anchored-count identity, evaluated
     at spec.k."""
-    n, k, s, i = spec.n, spec.k, spec.s, spec.i
-    c, d = len(s), len(i)
-    poly = alpha_via_recursion(n)
-    for var in range(1, c + 1):
-        for _ in range(s[c - var] - 1):
-            poly = poly.forward_difference(var)
-    for l in range(1, d + 1):
-        for _ in range(i[l - 1] - 1):
-            poly = poly.backward_difference(n - d + l)
-    sign = -1 if (sum(s) - c) % 2 else 1
-    return sign * poly.evaluate_int(k)
+    return _difference_value(alpha_via_recursion(spec.n), spec.s, spec.i, spec.k)
 
 
 def check_gamma_formula(spec: GammaSpec) -> VerificationReport:

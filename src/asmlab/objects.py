@@ -132,14 +132,6 @@ class PartialAsm:
         }
 
 
-@dataclass(frozen=True)
-class DiagonalProfile:
-    """A single SE- or NE-diagonal of a triangle."""
-
-    index: int
-    values: tuple[int, ...]
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -162,7 +154,7 @@ def _validate_interlacing_rows(rows) -> Verdict:
     return Verdict(True)
 
 
-def _validate_asm_row(row, require_colsum=False) -> str | None:
+def _validate_asm_row(row) -> str | None:
     prefix = 0
     for x in row:
         if x not in (-1, 0, 1):
@@ -400,6 +392,8 @@ _KINDS = {
 
 
 def from_json_obj(obj: dict):
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown object kind {kind!r}")

@@ -1,22 +1,30 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse exact multivariate polynomials in two bases.
 
-Provides the shift / finite-difference / summation calculus on polynomials in
-variables k_1, ..., k_n, and builds the triangle-counting polynomial
-alpha_n(k_1, ..., k_n) two independent ways: by the summation-operator
-recursion (authoritative) and by applying a product of shift-operator factors
-to a normalized Vandermonde product (cross-check).
+`MultiPoly` stores a polynomial in k_1, ..., k_n in the power basis
+prod_v k_v^e_v with `fractions.Fraction` coefficients.  `BinomialPoly` stores
+an integer-valued polynomial in the binomial basis prod_v C(k_v, e_v) with
+`int` coefficients.  In that basis the forward difference Delta_v lowers e_v
+by one and the antidifference raises it by one, so the summation calculus
+needs no fractions.
 
-Variables are 1-based throughout (k_1 is variable 1).  Coefficients are
-`fractions.Fraction`; no zero coefficient is ever stored.
+The triangle-counting polynomial alpha_n(k_1, ..., k_n) is built two
+independent ways: by the summation-operator recursion in the binomial basis
+(authoritative) and by applying a product of shift-operator factors to a
+normalized Vandermonde product in the power basis (cross-check).  The two
+compare across bases: `BinomialPoly == MultiPoly` converts to the power basis.
+
+Variables are 1-based throughout (k_1 is variable 1).  No zero coefficient is
+ever stored.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache, wraps
+from math import comb, factorial, prod
+from operator import getitem
+from typing import Callable, Iterable, Mapping, Sequence
 
 DEFAULT_TERM_CAP = 2_000_000
 TERM_CAP_ENV = "ASMLAB_TERM_CAP"
@@ -34,13 +42,61 @@ PRODUCTION_ALPHA_VARIANT = "pair_minus_Ep"
 
 
 class TermCapExceeded(RuntimeError):
-    """Raised when a polynomial would exceed the configured term cap."""
+    """Raised when a polynomial would exceed the configured term cap.
+
+    `construction` and `n` name the build of alpha_n (or of the Vandermonde
+    product) during which the cap was hit; both are None outside one.
+    """
+
+    def __init__(self, terms: int, cap: int):
+        super().__init__(terms, cap)
+        self.terms = terms
+        self.cap = cap
+        self.construction: str | None = None
+        self.n: int | None = None
+
+    def __str__(self) -> str:
+        where = f"{self.construction}(n={self.n}): " if self.construction else ""
+        return f"{where}{self.terms} terms exceeds cap {self.cap} (raise it with {TERM_CAP_ENV})"
 
 
 def term_cap() -> int:
-    """Maximum number of stored terms, overridable via ASMLAB_TERM_CAP."""
+    """Maximum number of stored terms, overridable via ASMLAB_TERM_CAP.
+
+    Raises ValueError unless the variable, when set, is a positive integer.
+    """
     raw = os.environ.get(TERM_CAP_ENV)
-    return int(raw) if raw else DEFAULT_TERM_CAP
+    if not raw:
+        return DEFAULT_TERM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{TERM_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _check_cap(terms: int) -> None:
+    cap = term_cap()
+    if terms > cap:
+        raise TermCapExceeded(terms, cap)
+
+
+def _names_cap_hits(build):
+    """Tag a TermCapExceeded raised inside build(n, ...) with the build's
+    name and n; the innermost tagged build wins."""
+
+    @wraps(build)
+    def wrapper(n, *args, **kwargs):
+        try:
+            return build(n, *args, **kwargs)
+        except TermCapExceeded as exc:
+            if exc.construction is None:
+                exc.construction, exc.n = build.__name__, n
+            raise
+
+    return wrapper
 
 
 def _as_fraction(value) -> Fraction:
@@ -67,8 +123,7 @@ class MultiPoly:
             if len(exps) != arity:
                 raise ValueError(f"exponent vector {exps} does not match arity {arity}")
             clean[tuple(exps)] = coef
-        if len(clean) > term_cap():
-            raise TermCapExceeded(f"{len(clean)} terms exceeds cap {term_cap()}")
+        _check_cap(len(clean))
         self.arity = arity
         self.terms = clean
 
@@ -138,7 +193,9 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.arity, other)
-        return isinstance(other, MultiPoly) and self.arity == other.arity and self.terms == other.terms
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.arity == other.arity and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))
@@ -252,13 +309,6 @@ class MultiPoly:
             self.arity, {e: c * (-1) ** (sum(e) % 2) for e, c in self.terms.items()}
         )
 
-    def extend_arity(self, arity: int) -> "MultiPoly":
-        """Reinterpret in a larger ring; new trailing variables are unused."""
-        if arity < self.arity:
-            raise ValueError("cannot shrink arity")
-        pad = (0,) * (arity - self.arity)
-        return MultiPoly(arity, {e + pad: c for e, c in self.terms.items()})
-
     def insert_variable(self, position: int) -> "MultiPoly":
         """Insert an unused variable at 1-based `position`, raising the arity."""
         if not 1 <= position <= self.arity + 1:
@@ -281,18 +331,12 @@ class MultiPoly:
 
     def antidifference(self, var: int) -> "MultiPoly":
         """The polynomial F with Delta_var F = self and F free of constant
-        term in k_var, computed through the binomial basis."""
+        term in k_var, computed through the binomial basis, where it maps
+        C(k_var, j) to C(k_var, j + 1)."""
         idx = _index(var, self.arity)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coef in self.terms.items():
-            base = list(exps)
-            base[idx] = 0
-            for new_e, factor in _monomial_antidifference(exps[idx]).items():
-                key = list(base)
-                key[idx] = new_e
-                key = tuple(key)
-                terms[key] = terms.get(key, Fraction(0)) + coef * factor
-        return MultiPoly(self.arity, terms)
+        binomial = axis_transform(self.terms, idx, _power_to_binomial_row)
+        raised = {e[:idx] + (e[idx] + 1,) + e[idx + 1 :]: c for e, c in binomial.items()}
+        return MultiPoly(self.arity, axis_transform(raised, idx, _binomial_to_power_row))
 
     # -- serialization ------------------------------------------------------
 
@@ -314,47 +358,248 @@ def _index(var: int, arity: int) -> int:
     return var - 1
 
 
-@lru_cache(maxsize=None)
-def _stirling2_row(e: int) -> tuple[int, ...]:
-    """Stirling numbers of the second kind S(e, 0..e)."""
-    if e == 0:
-        return (1,)
-    prev = _stirling2_row(e - 1)
-    row = [0] * (e + 1)
-    for j in range(1, e + 1):
-        row[j] = (prev[j - 1] if j - 1 <= e - 1 else 0) + j * (prev[j] if j <= e - 1 else 0)
-    return tuple(row)
+def binom(x: int, e: int) -> int:
+    """C(x, e) = x(x-1)...(x-e+1) / e! for any integer x; 0 for e < 0."""
+    if e < 0:
+        return 0
+    if x >= 0:
+        return comb(x, e)
+    value = comb(e - x - 1, e)  # C(-y, e) = (-1)^e C(y + e - 1, e)
+    return -value if e % 2 else value
 
 
-@lru_cache(maxsize=None)
-def _falling_factorial_coeffs(j: int) -> tuple[int, ...]:
-    """Coefficients of x(x-1)...(x-j+1) in the power basis, low to high."""
-    coeffs = [1]
-    for t in range(j):
-        shifted = [0] + coeffs
-        coeffs = [s - t * c for s, c in zip(shifted, coeffs + [0])]
-    return tuple(coeffs)
+def axis_transform(terms: Mapping, axis: int, row: Callable[[int], Sequence]) -> dict:
+    """Re-expand one axis of a sparse tensor {index tuple: coefficient}.
 
-
-@lru_cache(maxsize=None)
-def _monomial_antidifference(e: int) -> dict[int, Fraction]:
-    """Power-basis expansion of the discrete antiderivative of x^e.
-
-    Uses x^e = sum_j S(e,j) x(x-1)..(x-j+1) together with the fact that the
-    forward difference lowers a binomial-coefficient basis element by one.
+    An entry with index e on `axis` contributes coefficient * row(e)[j] to the
+    entry with index j there.  Basis changes, negation and coefficient tables
+    are each one such pass per axis.  Zero coefficients may remain.
     """
-    stirling = _stirling2_row(e)
-    result: dict[int, Fraction] = {}
-    for j in range(e + 1):
-        if stirling[j] == 0:
-            continue
-        factor = Fraction(stirling[j], j + 1)
-        for power, c in enumerate(_falling_factorial_coeffs(j + 1)):
-            if c:
-                result[power] = result.get(power, Fraction(0)) + factor * c
-    return {p: c for p, c in result.items() if c != 0}
+    out: dict = {}
+    for key, coef in terms.items():
+        head, tail = key[:axis], key[axis + 1 :]
+        for j, factor in enumerate(row(key[axis])):
+            if factor:
+                new = head + (j,) + tail
+                out[new] = out.get(new, 0) + coef * factor
+    return out
 
 
+@lru_cache(maxsize=64)
+def _power_to_binomial_row(p: int) -> tuple[int, ...]:
+    """x^p = sum_j row[j] C(x, j), where row[j] = (Delta^j x^p)(0) = j! S(p, j)."""
+    return tuple(
+        sum((-1) ** (j - t) * comb(j, t) * t**p for t in range(j + 1)) for j in range(p + 1)
+    )
+
+
+@lru_cache(maxsize=64)
+def _binomial_to_power_row(e: int) -> tuple[Fraction, ...]:
+    """C(x, e) = sum_p row[p] x^p, from the falling factorial x(x-1)...(x-e+1) / e!."""
+    coeffs = [1]
+    for t in range(e):
+        coeffs = [a - t * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(Fraction(c, factorial(e)) for c in coeffs)
+
+
+@lru_cache(maxsize=64)
+def _negation_row(e: int) -> tuple[int, ...]:
+    """C(-x, e) = (-1)^e C(x + e - 1, e) = sum_j row[j] C(x, j), by Vandermonde."""
+    sign = -1 if e % 2 else 1
+    return tuple(sign * binom(e - 1, e - j) for j in range(e + 1))
+
+
+@lru_cache(maxsize=4096)
+def _substitution_row(a: int, b: int, h: int) -> tuple[tuple[int, int], ...]:
+    """C(y + h, a) C(y, b) = sum_j coef_j C(y, j), as ((j, coef_j), ...).
+
+    Vandermonde's convolution gives C(y + h, a) = sum_m C(h, a - m) C(y, m),
+    and C(y, m) C(y, b) = sum_j C(j, m) C(m, j - b) C(y, j).
+    """
+    row: dict[int, int] = {}
+    for m in range(a + 1):
+        factor = binom(h, a - m)
+        if factor:
+            for j in range(max(m, b), m + b + 1):
+                row[j] = row.get(j, 0) + factor * comb(j, m) * comb(m, j - b)
+    return tuple((j, c) for j, c in sorted(row.items()) if c)
+
+
+class BinomialPoly:
+    """Integer-valued polynomial sum_e a_e prod_v C(k_v, e_v) in
+    k_1..k_arity, stored as {exponent tuple: int}."""
+
+    __slots__ = ("arity", "terms")
+
+    def __init__(self, arity: int, terms: Mapping[tuple[int, ...], int] | None = None):
+        if arity < 0:
+            raise ValueError("arity must be nonnegative")
+        clean: dict[tuple[int, ...], int] = {}
+        for exps, coef in (terms or {}).items():
+            if not isinstance(coef, int):
+                raise TypeError(f"expected int coefficient, got {type(coef).__name__}")
+            if len(exps) != arity or min(exps, default=0) < 0:
+                raise ValueError(f"exponent vector {exps} is not {arity} nonnegative integers")
+            if coef:
+                clean[tuple(exps)] = coef
+        _check_cap(len(clean))
+        self.arity = arity
+        self.terms = clean
+
+    @classmethod
+    def _of(cls, arity: int, terms: dict) -> "BinomialPoly":
+        """Wrap a term dict built by a kernel of this class, dropping zeros."""
+        poly = cls.__new__(cls)
+        poly.arity = arity
+        poly.terms = {e: c for e, c in terms.items() if c}
+        _check_cap(len(poly.terms))
+        return poly
+
+    # -- conversion to and from the power basis ------------------------------
+
+    def to_multipoly(self) -> MultiPoly:
+        terms = self.terms
+        for idx in range(self.arity):
+            terms = axis_transform(terms, idx, _binomial_to_power_row)
+        return MultiPoly(self.arity, terms)
+
+    @classmethod
+    def from_multipoly(cls, poly: MultiPoly) -> "BinomialPoly":
+        """Raises ValueError unless `poly` is integer-valued."""
+        terms = poly.terms
+        for idx in range(poly.arity):
+            terms = axis_transform(terms, idx, _power_to_binomial_row)
+        if any(c.denominator != 1 for c in terms.values()):
+            raise ValueError("polynomial is not integer-valued")
+        return cls(poly.arity, {e: c.numerator for e, c in terms.items()})
+
+    # -- ring operations ------------------------------------------------------
+
+    def __add__(self, other: "BinomialPoly") -> "BinomialPoly":
+        if not isinstance(other, BinomialPoly):
+            return NotImplemented
+        if other.arity != self.arity:
+            raise ValueError("arity mismatch")
+        terms = dict(self.terms)
+        for exps, coef in other.terms.items():
+            terms[exps] = terms.get(exps, 0) + coef
+        return BinomialPoly._of(self.arity, terms)
+
+    def __neg__(self) -> "BinomialPoly":
+        return self.scale(-1)
+
+    def __sub__(self, other: "BinomialPoly") -> "BinomialPoly":
+        if not isinstance(other, BinomialPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, factor: int) -> "BinomialPoly":
+        return BinomialPoly._of(self.arity, {e: c * factor for e, c in self.terms.items()})
+
+    # -- structure --------------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, BinomialPoly):
+            return self.arity == other.arity and self.terms == other.terms
+        if isinstance(other, MultiPoly):
+            return self.to_multipoly() == other
+        return NotImplemented
+
+    __hash__ = None  # equal to MultiPolys, whose hash is over power-basis terms
+
+    def max_degree(self) -> int:
+        """Largest exponent of any variable; 0 for constants and zero."""
+        return max(map(max, self.terms), default=0) if self.arity else 0
+
+    def __repr__(self):
+        return f"BinomialPoly(arity={self.arity}, nterms={len(self.terms)})"
+
+    # -- substitution and evaluation ------------------------------------------
+
+    def substitute_affine(self, var: int, target: int, offset: int) -> "BinomialPoly":
+        """Substitute k_var -> k_target + offset; target may equal var."""
+        idx = _index(var, self.arity)
+        tidx = _index(target, self.arity)
+        terms: dict[tuple[int, ...], int] = {}
+        for exps, coef in self.terms.items():
+            key = list(exps)
+            a = key[idx]
+            key[idx] = 0
+            for j, factor in _substitution_row(a, key[tidx], offset):
+                key[tidx] = j
+                new = tuple(key)
+                terms[new] = terms.get(new, 0) + coef * factor
+        return BinomialPoly._of(self.arity, terms)
+
+    def shift(self, var: int, h: int) -> "BinomialPoly":
+        """Shift operator E_var^h: substitutes k_var -> k_var + h."""
+        if h == 0:
+            return self
+        return self.substitute_affine(var, var, h)
+
+    def specialize(self, assignment: Mapping[int, int]) -> "BinomialPoly":
+        """Substitute the given variables by integer values, keeping the arity."""
+        slots = [(_index(var, self.arity), value) for var, value in assignment.items()]
+        terms: dict[tuple[int, ...], int] = {}
+        for exps, coef in self.terms.items():
+            key = list(exps)
+            for idx, value in slots:
+                coef *= binom(value, key[idx])
+                key[idx] = 0
+            new = tuple(key)
+            terms[new] = terms.get(new, 0) + coef
+        return BinomialPoly._of(self.arity, terms)
+
+    def contract(self, tables: Sequence[Sequence[int]]) -> int:
+        """sum_e a_e prod_v tables[v][e_v]: the polynomial with each C(k_v, e)
+        replaced by tables[v][e].  A table must cover every exponent of its
+        variable."""
+        return sum(coef * prod(map(getitem, tables, exps)) for exps, coef in self.terms.items())
+
+    def evaluate(self, values: Sequence[int]) -> int:
+        """Exact value at the integer point values[v-1] = k_v."""
+        if len(values) != self.arity:
+            raise ValueError("assignment length does not match arity")
+        width = self.max_degree() + 1
+        return self.contract([[binom(x, e) for e in range(width)] for x in values])
+
+    evaluate_int = evaluate
+
+    def permute_positions(self, new_position: Sequence[int]) -> "BinomialPoly":
+        """Move the exponent of variable v to variable new_position[v-1]."""
+        if sorted(new_position) != list(range(1, self.arity + 1)):
+            raise ValueError("not a permutation of 1..arity")
+        order = sorted(range(self.arity), key=lambda v: new_position[v])
+        return BinomialPoly._of(
+            self.arity, {tuple(e[v] for v in order): c for e, c in self.terms.items()}
+        )
+
+    def negate_variables(self) -> "BinomialPoly":
+        """Substitute k_v -> -k_v for every variable."""
+        terms = self.terms
+        for idx in range(self.arity):
+            terms = axis_transform(terms, idx, _negation_row)
+        return BinomialPoly._of(self.arity, terms)
+
+    def extend_arity(self, arity: int) -> "BinomialPoly":
+        """Reinterpret in a larger ring; new trailing variables are unused."""
+        if arity < self.arity:
+            raise ValueError("cannot shrink arity")
+        pad = (0,) * (arity - self.arity)
+        return BinomialPoly._of(arity, {e + pad: c for e, c in self.terms.items()})
+
+    # -- finite-difference calculus ---------------------------------------------
+
+    def antidifference(self, var: int) -> "BinomialPoly":
+        """The polynomial F with Delta_var F = self and F zero at k_var = 0:
+        C(k_var, e) becomes C(k_var, e + 1)."""
+        idx = _index(var, self.arity)
+        return BinomialPoly._of(
+            self.arity, {e[:idx] + (e[idx] + 1,) + e[idx + 1 :]: c for e, c in self.terms.items()}
+        )
+
+
+@_names_cap_hits
 def vandermonde(n: int) -> MultiPoly:
     """The normalized Vandermonde product over (k_j - k_i) / (j - i)."""
     if n < 1:
@@ -381,7 +626,7 @@ def binomial_in_var(arity: int, var: int, offset: int, m: int) -> MultiPoly:
     return poly.scale(Fraction(1, denom))
 
 
-def apply_sigma(poly: MultiPoly, lo: int, hi: int) -> MultiPoly:
+def apply_sigma(poly: BinomialPoly, lo: int, hi: int) -> BinomialPoly:
     """Recursive summation operator over variable slots lo..hi.
 
     The operand uses slots lo..hi-1 as the summed variables; the result uses
@@ -390,14 +635,13 @@ def apply_sigma(poly: MultiPoly, lo: int, hi: int) -> MultiPoly:
     each recursion step subtracts the doubled-argument correction term.
     """
     if hi < lo:
-        return MultiPoly.zero(poly.arity)
+        return BinomialPoly(poly.arity)
     if hi == lo:
         return poly
     # inner sum over the slot hi-1 variable, from k_{hi-1} to k_hi
     anti = poly.antidifference(hi - 1)
-    upper = anti.shift(hi - 1, 1).substitute_affine(hi - 1, hi, 0)
-    lower = anti
-    main = apply_sigma(upper - lower, lo, hi - 1)
+    upper = anti.substitute_affine(hi - 1, hi, 1)
+    main = apply_sigma(upper - anti, lo, hi - 1)
     if hi - 2 < lo:
         return main
     # doubled-argument correction: both trailing summed slots pinned to k_{hi-1}
@@ -405,7 +649,7 @@ def apply_sigma(poly: MultiPoly, lo: int, hi: int) -> MultiPoly:
     return main - apply_sigma(corr, lo, hi - 2)
 
 
-def summation_operator(poly: MultiPoly) -> MultiPoly:
+def summation_operator(poly: BinomialPoly) -> BinomialPoly:
     """Lift an (n-1)-variable polynomial to n variables by the summation
     operator; applied to alpha_{n-1} this yields alpha_n."""
     n = poly.arity + 1
@@ -414,16 +658,19 @@ def summation_operator(poly: MultiPoly) -> MultiPoly:
     return apply_sigma(poly.extend_arity(n), 1, n)
 
 
-@lru_cache(maxsize=None)
-def alpha_via_recursion(n: int) -> MultiPoly:
-    """The monotone-triangle counting polynomial alpha_n, built recursively."""
+@lru_cache(maxsize=8)
+@_names_cap_hits
+def alpha_via_recursion(n: int) -> BinomialPoly:
+    """The monotone-triangle counting polynomial alpha_n, built recursively
+    in the binomial basis."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
-        return MultiPoly.constant(1, 1)
+        return BinomialPoly(1, {(0,): 1})
     return summation_operator(alpha_via_recursion(n - 1))
 
 
+@_names_cap_hits
 def alpha_via_operator(n: int, variant: str = PRODUCTION_ALPHA_VARIANT) -> MultiPoly:
     """alpha_n from the shift-operator product applied to vandermonde(n).
 

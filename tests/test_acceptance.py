@@ -95,6 +95,13 @@ def test_criterion_03_coefficient_extraction():
     report(3, "coefficients equal trapezoid counts")
 
 
+def test_theorem7_full_sweep_n6():
+    for c in range(0, 7):
+        for d in range(0, 7 - c):
+            rep = verify_theorem7(6, c, d)
+            assert rep.passed(), rep.to_json()
+
+
 def test_criterion_04_expansion_reconstruction():
     for n in range(1, 6):
         for c in range(0, n + 1):

@@ -1,9 +1,13 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import asmlab
 from asmlab.cli import main
 
 
@@ -145,3 +149,63 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# usage errors in a fresh process: exit 2, one error line, no traceback
+# ---------------------------------------------------------------------------
+
+
+def run_process(*argv, env=None):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(asmlab.__file__)))
+    full_env = dict(os.environ, PYTHONPATH=src, **(env or {}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asmlab.cli", *argv],
+        env=full_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_usage_error(code, err):
+    assert code == 2, err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_coeff_zero_order_is_usage_error():
+    code, _, err = run_process("coeff", "--n", "0")
+    assert_usage_error(code, err)
+
+
+def test_malformed_term_cap_is_usage_error():
+    code, _, err = run_process("coeff", "--n", "3", env={"ASMLAB_TERM_CAP": "abc"})
+    assert_usage_error(code, err)
+    assert "ASMLAB_TERM_CAP" in err
+
+
+def test_term_cap_hit_names_the_construction():
+    code, _, err = run_process("coeff", "--n", "5", env={"ASMLAB_TERM_CAP": "40"})
+    assert_usage_error(code, err)
+    assert "alpha_via_recursion(n=" in err
+
+
+def test_table_order_below_formula_range_is_usage_error():
+    code, _, err = run_process("table", "--which", "b_nij", "--n", "1")
+    assert_usage_error(code, err)
+
+
+def test_non_object_json_is_usage_error(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]")
+    for argv in (("transform", "--op", "ad"), ("convert", "--to", "asm")):
+        code, _, err = run_process(*argv, "--in", str(path))
+        assert_usage_error(code, err)
+
+
+def test_verify_zero_cases_is_usage_error():
+    code, out, err = run_process("verify", "--n-max", "0")
+    assert_usage_error(code, err)
+    assert out == ""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from asmlab import (
     ALPHA_VARIANTS,
     PRODUCTION_ALPHA_VARIANT,
+    BinomialPoly,
     MultiPoly,
     TermCapExceeded,
     alpha_via_operator,
@@ -134,6 +135,104 @@ def test_json_roundtrip_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# the integer binomial basis against the power basis
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_binomial_polys(draw, arity=3, max_deg=4):
+    n_terms = draw(st.integers(0, 6))
+    terms = {}
+    for _ in range(n_terms):
+        exps = tuple(draw(st.integers(0, max_deg)) for _ in range(arity))
+        terms[exps] = draw(st.integers(-9, 9))
+    return BinomialPoly(arity, terms)
+
+
+@st.composite
+def integer_power_polys(draw, arity=3, max_deg=3):
+    n_terms = draw(st.integers(0, 5))
+    terms = {}
+    for _ in range(n_terms):
+        exps = tuple(draw(st.integers(0, max_deg)) for _ in range(arity))
+        terms[exps] = Fraction(draw(st.integers(-9, 9)))
+    return MultiPoly(arity, terms)
+
+
+@given(small_binomial_polys())
+def test_binomial_roundtrip_through_power_basis(b):
+    m = b.to_multipoly()
+    assert BinomialPoly.from_multipoly(m).terms == b.terms
+    assert b == m and m == b
+    assert not (b != m) and not (m != b)
+
+
+@given(integer_power_polys())
+def test_power_roundtrip_through_binomial_basis(m):
+    assert BinomialPoly.from_multipoly(m).to_multipoly() == m
+
+
+def test_from_multipoly_rejects_non_integer_valued():
+    with pytest.raises(ValueError):
+        BinomialPoly.from_multipoly(mono(1, (1,), Fraction(1, 2)))
+    assert BinomialPoly.from_multipoly(binomial_in_var(1, 1, 0, 3)).terms == {(3,): 1}
+
+
+def test_cross_basis_inequality():
+    b = BinomialPoly(2, {(1, 0): 1})
+    assert b != mono(2, (0, 1)) and mono(2, (0, 1)) != b
+    assert b != BinomialPoly(2, {(0, 1): 1})
+
+
+@given(small_binomial_polys(), st.integers(1, 3), st.integers(-6, 6))
+def test_binomial_shift(b, var, h):
+    assert b.shift(var, h) == b.to_multipoly().shift(var, h)
+
+
+@given(small_binomial_polys(), st.integers(-3, 3))
+def test_binomial_substitution_into_present_variable(b, h):
+    # k_1 -> k_2 + h multiplies binomials in the same variable k_2
+    assert b.substitute_affine(1, 2, h) == b.to_multipoly().substitute_affine(1, 2, h)
+
+
+@given(small_binomial_polys())
+def test_binomial_negation(b):
+    assert b.negate_variables() == b.to_multipoly().negate_variables()
+
+
+@given(small_binomial_polys(), st.integers(1, 3))
+def test_binomial_antidifference(b, var):
+    assert b.antidifference(var) == b.to_multipoly().antidifference(var)
+
+
+@given(small_binomial_polys(), st.lists(st.integers(-7, 7), min_size=3, max_size=3))
+def test_binomial_evaluation_at_negative_points(b, point):
+    assert b.evaluate(point) == b.to_multipoly().evaluate(point)
+
+
+def test_binomial_term_cap(monkeypatch):
+    b = BinomialPoly(2, {(2, 2): 1})
+    monkeypatch.setenv(TERM_CAP_ENV, "3")
+    with pytest.raises(TermCapExceeded):
+        b.shift(1, 1).shift(2, 1)
+
+
+def test_term_cap_names_construction(monkeypatch):
+    monkeypatch.setenv(TERM_CAP_ENV, "2")
+    with pytest.raises(TermCapExceeded) as exc:
+        alpha_via_operator(3)
+    assert (exc.value.construction, exc.value.n) == ("vandermonde", 3)
+    assert "vandermonde(n=3)" in str(exc.value)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_malformed_term_cap_raises_value_error(monkeypatch, raw):
+    monkeypatch.setenv(TERM_CAP_ENV, raw)
+    with pytest.raises(ValueError):
+        MultiPoly.constant(1, 1)
+
+
+# ---------------------------------------------------------------------------
 # the counting polynomial
 # ---------------------------------------------------------------------------
 
@@ -144,6 +243,14 @@ def test_alpha_matches_brute_force_on_strict_rows(n):
 
     alpha = alpha_via_recursion(n)
     for bottom in combinations(range(1, n + 3), n):
+        assert alpha.evaluate_int(list(bottom)) == count_triangles(bottom)
+
+
+def test_alpha_7_matches_brute_force_on_strict_rows():
+    from itertools import combinations
+
+    alpha = alpha_via_recursion(7)
+    for bottom in combinations(range(1, 10), 7):
         assert alpha.evaluate_int(list(bottom)) == count_triangles(bottom)
 
 
