@@ -94,21 +94,27 @@ def cmd_coeff(args) -> int:
     return 0
 
 
+def _grid_row(which, n, i):
+    """Values of row i of a two-index table, j = 1..n."""
+    fn = closed_forms.stroganov_b if which == "b_nij" else closed_forms.a_nij
+    return [fn(n, i, j) for j in range(1, n + 1)]
+
+
 def _grid_rows(which, n, jobs):
-    """CSV rows (lists of strings) for one table kind."""
+    """CSV rows (lists of strings) for one table kind.  With jobs > 1 the
+    rows i of a two-index table go to a process pool, each worker building
+    its own per-n tables; the output order does not change."""
     if which == "asm_total":
         return [[str(m), str(closed_forms.asm_total(m))] for m in range(1, n + 1)]
     if which == "a_nk":
         return [[str(k), str(closed_forms.a_nk(n, k))] for k in range(1, n + 1)]
-    fn = closed_forms.stroganov_b if which == "b_nij" else closed_forms.a_nij
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    indices = range(1, n + 1)
     if jobs > 1:
-        ns = [n] * len(cells)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(fn, ns, [i for i, _ in cells], [j for _, j in cells]))
+            values = list(pool.map(_grid_row, [which] * n, [n] * n, indices))
     else:
-        values = [fn(n, i, j) for i, j in cells]
-    return [[str(i), str(j), str(v)] for (i, j), v in zip(cells, values)]
+        values = [_grid_row(which, n, i) for i in indices]
+    return [[str(i), str(j), str(v)] for i, row in zip(indices, values) for j, v in enumerate(row, 1)]
 
 
 def cmd_table(args) -> int:
@@ -198,7 +204,7 @@ def _load_object(path: str):
     try:
         with open(path) as handle:
             return objects.from_json_obj(json.load(handle))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read object from {path}: {exc}")
 
 
@@ -227,9 +233,12 @@ def cmd_convert(args) -> int:
         elif args.to == "triangle":
             result = objects.asm_to_triangle(obj)
         elif args.to == "partial_asm":
-            if obj.ambient_n is None and args.n is None:
+            n = obj.ambient_n if args.n is None else args.n
+            if n is None:
                 raise UsageError("converting a trapezoid requires --n (ambient width)")
-            result = objects.trapezoid_to_partial_asm(obj, args.n or obj.ambient_n)
+            if n < 1:
+                raise UsageError("--n must be positive")
+            result = objects.trapezoid_to_partial_asm(obj, n)
         else:  # trapezoid
             bottom = _int_list(args.bottom or "")
             if not bottom:
@@ -252,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact enumeration and verification of refined alternating-sign-matrix counts.",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress/warnings on stderr")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for table cells")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for table rows")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count triangles or trapezoids")
@@ -306,6 +315,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     try:
+        if args.jobs < 1:
+            raise UsageError("--jobs must be positive")
         _check_term_cap()
         return args.func(args)
     except (UsageError, TermCapExceeded) as exc:

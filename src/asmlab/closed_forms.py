@@ -2,13 +2,21 @@
 
 Covers the total count, the singly refined counts, the top/bottom doubly
 refined counts (Stroganov), and the two-row refined numbers obtained by
-composing the alternating-sum relation with Stroganov's formula.  Every
-division is performed over exact rationals and checked to be integral.
+composing the alternating-sum relation with Stroganov's formula.
+
+All arithmetic is on Python integers.  Every division goes through
+`_exact_div`, which raises ArithmeticError on a nonzero remainder, so a
+formula that stops being integral fails loudly instead of rounding.
+
+Each object is computed once per order n: the row a_nk(n, 1..n) and the
+n x n table of Stroganov's B(n; i, j), both in bounded per-n caches.  B
+comes from one O(n^2) pass: for a fixed offset j - i the sum over l <= i is
+a prefix sum.  `a_nij` reads the B table; `a_nij_direct` is its own double
+sum over a_nk and never touches the B table, so it stays a cross-check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -16,86 +24,127 @@ from .coefficients import IndexTuplePair, extract_coefficient
 from .reports import VerificationReport
 
 
-@lru_cache(maxsize=None)
+def _exact_div(numerator: int, denominator: int, what: str) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{what} not integral: {numerator}/{denominator}")
+    return quotient
+
+
+@lru_cache(maxsize=256)
 def asm_total(n: int) -> int:
-    """Product formula for the number of n x n alternating sign matrices."""
+    """Product formula A_n = prod_{j<n} (3j+1)!/(n+j)!, taken one order at a
+    time: A_{m+1} = A_m (3m+1)! m! / ((2m)! (2m+1)!)."""
     if n < 1:
         raise ValueError("n must be positive")
-    total = Fraction(1)
-    for j in range(n):
-        total *= Fraction(factorial(3 * j + 1), factorial(n + j))
-    if total.denominator != 1:
-        raise ArithmeticError(f"total count for n={n} not integral: {total}")
-    return total.numerator
+    total = 1
+    for m in range(1, n):
+        total = _exact_div(
+            total * factorial(3 * m + 1) * factorial(m),
+            factorial(2 * m) * factorial(2 * m + 1),
+            f"total count for n={m + 1}",
+        )
+    return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
+def _a_row(n: int) -> tuple[int, ...]:
+    """(a_nk(n, 1), ..., a_nk(n, n)), by the refined product formula
+    a_nk = A_{n-1} C(n+k-2, k-1) C(2n-k-1, n-k) / C(2n-2, n-1)."""
+    smaller = asm_total(n - 1) if n > 1 else 1
+    divisor = comb(2 * n - 2, n - 1)
+    return tuple(
+        _exact_div(
+            smaller * comb(n + k - 2, k - 1) * comb(2 * n - k - 1, n - k),
+            divisor,
+            f"refined count for n={n}, k={k}",
+        )
+        for k in range(1, n + 1)
+    )
+
+
 def a_nk(n: int, k: int) -> int:
     """Matrices with the top-row 1 in column k; zero outside 1 <= k <= n."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 1 <= k <= n:
         return 0
-    value = Fraction(comb(n + k - 2, n - 1)) * Fraction(
-        factorial(2 * n - k - 1), factorial(n - k)
-    )
-    for j in range(n - 1):
-        value *= Fraction(factorial(3 * j + 1), factorial(n + j))
-    if value.denominator != 1:
-        raise ArithmeticError(f"refined count for n={n}, k={k} not integral: {value}")
-    return value.numerator
+    return _a_row(n)[k - 1]
 
 
-@lru_cache(maxsize=None)
+def _padded_row(m: int) -> list[int]:
+    """a_nk(m, k) at index k + m for -m <= k <= 2m + 1, zero outside 1..m,
+    so the sums below index it without range tests."""
+    return [0] * (m + 1) + list(_a_row(m)) + [0] * (m + 2)
+
+
+@lru_cache(maxsize=64)
+def _b_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Stroganov's B(n; i, j) for 1 <= i, j <= n, row i at index i - 1.
+
+    B(n; i, i+delta) = (1/A_{n-1}) sum_{l=1}^{i} term(l, delta) with
+    term(l, delta) = a(n-1, l-1) (a(n, delta+l) - a(n, delta+l-1))
+                   + a(n-1, delta+l-1) (a(n, l) - a(n, l-1)),
+    so along each diagonal of fixed delta the numerators are prefix sums.
+    """
+    cur, prev = _padded_row(n), _padded_row(n - 1)
+    p = n - 1  # a(n, k) = cur[k + n], a(n-1, k) = prev[k + p]
+    divisor = asm_total(n - 1)
+    table = [[0] * n for _ in range(n)]
+    for delta in range(1 - n, n):
+        partial = 0
+        for i in range(1, min(n, n - delta) + 1):
+            partial += (
+                prev[i - 1 + p] * (cur[delta + i + n] - cur[delta + i - 1 + n])
+                + prev[delta + i - 1 + p] * (cur[i + n] - cur[i - 1 + n])
+            )
+            if i + delta >= 1:
+                table[i - 1][i + delta - 1] = _exact_div(partial, divisor, f"B({n},{i},{i + delta})")
+    return tuple(tuple(row) for row in table)
+
+
+def _check_pair(n: int, i: int, j: int) -> None:
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("indices must lie in [1, n]")
+
+
 def stroganov_b(n: int, i: int, j: int) -> int:
     """Matrices with the bottom-row 1 in column i and top-row 1 in column j,
     by summing Stroganov's difference formula from the boundary case."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("indices must lie in [1, n]")
-    total = 0
-    for l in range(1, i + 1):
-        total += a_nk(n - 1, l - 1) * (a_nk(n, j - i + l) - a_nk(n, j - i + l - 1))
-        total += a_nk(n - 1, j - i + l - 1) * (a_nk(n, l) - a_nk(n, l - 1))
-    value = Fraction(total, asm_total(n - 1))
-    if value.denominator != 1:
-        raise ArithmeticError(f"B({n},{i},{j}) not integral: {value}")
-    return value.numerator
+    _check_pair(n, i, j)
+    return _b_table(n)[i - 1][j - 1]
 
 
-@lru_cache(maxsize=None)
 def a_nij(n: int, i: int, j: int) -> int:
     """Triangles missing i and j from the bottom row (i < j); defined for all
     index pairs through the alternating sum over Stroganov's numbers."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("indices must lie in [1, n]")
+    _check_pair(n, i, j)
+    b_row = _b_table(n)[i - 1]
     return sum(
-        (-1) ** ((n + k) % 2) * comb(2 * n - 2 - j, k - j) * stroganov_b(n, i, k)
+        (-1) ** ((n + k) % 2) * comb(2 * n - 2 - j, k - j) * b_row[k - 1]
         for k in range(j, n + 1)
     )
 
 
 def a_nij_direct(n: int, i: int, j: int) -> int:
     """Single-formula version of a_nij with the summation indices untangled;
-    must agree with the composition and is used as a cross-check."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    must agree with the composition and is used as a cross-check.  Reads
+    only a_nk, never the B table."""
+    _check_pair(n, i, j)
+    cur, prev = _padded_row(n), _padded_row(n - 1)
+    p = n - 1  # a(n, k) = cur[k + n], a(n-1, k) = prev[k + p]
     total = 0
     for l in range(1, i + 1):
         for k in range(l - i + j, l - i + n + 1):
             sign = -1 if (n + i + k + l) % 2 else 1
             weight = comb(2 * n - 2 - j, k - l + i - j)
             total += sign * weight * (
-                a_nk(n - 1, l - 1) * (a_nk(n, k) - a_nk(n, k - 1))
-                + a_nk(n - 1, k - 1) * (a_nk(n, l) - a_nk(n, l - 1))
+                prev[l - 1 + p] * (cur[k + n] - cur[k - 1 + n])
+                + prev[k - 1 + p] * (cur[l + n] - cur[l - 1 + n])
             )
-    value = Fraction(total, asm_total(n - 1))
-    if value.denominator != 1:
-        raise ArithmeticError(f"A({n};{i},{j}) not integral: {value}")
-    return value.numerator
+    return _exact_div(total, asm_total(n - 1), f"A({n};{i},{j})")
 
 
 def check_relation(n: int) -> VerificationReport:

@@ -23,7 +23,13 @@ from itertools import combinations, product
 from math import factorial
 from typing import Sequence
 
-from .enumeration import GammaSpec, count_trapezoids, gamma_count, special_point
+from .enumeration import (
+    GammaSpec,
+    count_trapezoids,
+    gamma_count,
+    index_tuples,
+    special_point,
+)
 from .polynomials import (
     BinomialPoly,
     MultiPoly,
@@ -44,15 +50,7 @@ class IndexTuplePair:
     i: tuple[int, ...]
 
     def __init__(self, n: int, s: Sequence[int] = (), i: Sequence[int] = ()):
-        s = tuple(int(x) for x in s)
-        i = tuple(int(x) for x in i)
-        if n < 1:
-            raise ValueError("n must be positive")
-        if len(s) + len(i) > n:
-            raise ValueError("need c + d <= n")
-        for name, tup in (("s", s), ("i", i)):
-            if any(not 1 <= x <= n for x in tup):
-                raise ValueError(f"{name} entries must lie in [1, {n}]")
+        s, i = index_tuples(n, s, i)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "i", i)

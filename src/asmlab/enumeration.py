@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .objects import MonotoneTriangle, triangle_to_asm
+from .objects import MonotoneTriangle
 
 #: soft practical bounds; the CLI warns (but does not refuse) beyond these
 EXHAUSTIVE_FAMILY_CAP = 7
@@ -39,6 +39,29 @@ class BottomRowSpec:
         object.__setattr__(self, "weak_bottom", weak_bottom)
 
 
+def index_tuples(
+    n: int, s: Sequence[int], i: Sequence[int], order: str | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Check the index tuples s (length c) and i (length d) of order n and
+    return them as integer tuples.  Needs n >= 1, c + d <= n and entries in
+    [1, n]; order "strict" or "weak" also requires each tuple to increase
+    strictly or weakly, None leaves the order free."""
+    s = tuple(int(x) for x in s)
+    i = tuple(int(x) for x in i)
+    if n < 1:
+        raise ValueError("n must be positive")
+    if len(s) + len(i) > n:
+        raise ValueError("need c + d <= n")
+    for name, tup in (("s", s), ("i", i)):
+        if any(not 1 <= x <= n for x in tup):
+            raise ValueError(f"{name} entries must lie in [1, {n}]")
+        if order == "strict" and any(a >= b for a, b in zip(tup, tup[1:])):
+            raise ValueError(f"{name} must be strictly increasing")
+        if order == "weak" and any(a > b for a, b in zip(tup, tup[1:])):
+            raise ValueError(f"{name} must be weakly increasing")
+    return s, i
+
+
 @dataclass(frozen=True)
 class GammaSpec:
     """Arguments of the anchored partial-triangle count: bottom values k,
@@ -51,17 +74,9 @@ class GammaSpec:
 
     def __init__(self, n: int, k: Sequence[int], s: Sequence[int] = (), i: Sequence[int] = ()):
         k = tuple(int(x) for x in k)
-        s = tuple(int(x) for x in s)
-        i = tuple(int(x) for x in i)
         if len(k) != n:
             raise ValueError(f"k must have length n={n}")
-        if len(s) + len(i) > n:
-            raise ValueError("need c + d <= n")
-        for name, tup in (("s", s), ("i", i)):
-            if any(not 1 <= x <= n for x in tup):
-                raise ValueError(f"{name} entries must lie in [1, {n}]")
-            if any(a > b for a, b in zip(tup, tup[1:])):
-                raise ValueError(f"{name} must be weakly increasing")
+        s, i = index_tuples(n, s, i, order="weak")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "s", s)
@@ -133,16 +148,8 @@ def _count_to_top(row: tuple[int, ...], top: tuple[int, ...]) -> int:
 def count_trapezoids(n: int, s: Sequence[int], i: Sequence[int]) -> int:
     """Number of monotone (d, n-c)-trapezoids with top row i and bottom row
     the increasing arrangement of {1..n} minus {s}."""
-    s = tuple(int(x) for x in s)
-    i = tuple(int(x) for x in i)
-    for name, tup in (("s", s), ("i", i)):
-        if any(not 1 <= x <= n for x in tup):
-            raise ValueError(f"{name} entries must lie in [1, {n}]")
-        if any(a >= b for a, b in zip(tup, tup[1:])):
-            raise ValueError(f"{name} must be strictly increasing")
-    c, d = len(s), len(i)
-    if d > n - c:
-        raise ValueError("need d <= n - c")
+    s, i = index_tuples(n, s, i, order="strict")
+    d = len(i)
     bottom = _complement(n, s)
     if d == 0:
         # c = n removes the whole bottom row; the empty trapezoid counts once
@@ -160,22 +167,43 @@ class RefinedCounts:
     top_bottom: dict  # (i, j) -> matrices with bottom-row 1 in column i, top-row 1 in column j
 
 
+@lru_cache(maxsize=65536)
+def _top_profile(row: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(top entry, number of triangles over row with that top entry) pairs,
+    sorted by top entry; entries with no triangle are left out."""
+    if len(row) == 1:
+        return ((row[0], 1),)
+    by_top: dict[int, int] = {}
+    for nxt in _successor_rows(row):
+        for top, ways in _top_profile(nxt):
+            by_top[top] = by_top.get(top, 0) + ways
+    return tuple(sorted(by_top.items()))
+
+
 def refined_counts(n: int) -> RefinedCounts:
     """Classify every complete triangle of order n by the positions of the 1
-    in the top and bottom rows of its alternating sign matrix."""
+    in the top and bottom rows of its alternating sign matrix.
+
+    The top-row 1 sits in the column of the triangle's top entry; the
+    bottom-row 1 in the column i missing from its second row.  A DP over
+    interlacing rows (`_top_profile`, memoized per row) counts the triangles
+    over each second row by top entry, so the classification covers all
+    triangles without building any of them.  No closed form is read.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
     top = [0] * n
     top_bottom: dict[tuple[int, int], int] = {}
-    total = 0
-    for triangle in enumerate_triangles(tuple(range(1, n + 1))):
-        total += 1
-        j = triangle.rows[-1][0]
-        if n == 1:
-            i = 1
-        else:
-            i = _complement(n, triangle.rows[1])[0]
-        top[j - 1] += 1
-        top_bottom[(i, j)] = top_bottom.get((i, j), 0) + 1
-    return RefinedCounts(n, total, tuple(top), top_bottom)
+    bottom = tuple(range(1, n + 1))
+    if n == 1:
+        second_rows = [(1, bottom)]
+    else:
+        second_rows = [(_complement(n, row)[0], row) for row in _successor_rows(bottom)]
+    for i, row in second_rows:
+        for j, ways in _top_profile(row):
+            top[j - 1] += ways
+            top_bottom[(i, j)] = top_bottom.get((i, j), 0) + ways
+    return RefinedCounts(n, sum(top), tuple(top), top_bottom)
 
 
 # ---------------------------------------------------------------------------

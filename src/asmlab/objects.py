@@ -381,17 +381,43 @@ def asm_reflect_horizontal(matrix: Asm) -> Asm:
 # JSON I/O
 # ---------------------------------------------------------------------------
 
+def _int_field(obj: dict, key: str, optional: bool = False) -> int | None:
+    value = obj.get(key)
+    if value is None and optional:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"field {key!r} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _rows_field(obj: dict, key: str) -> list:
+    rows = obj.get(key)
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list)
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
+        for row in rows
+    ):
+        raise ValueError(f"field {key!r} must be a list of lists of integers")
+    return rows
+
+
 _KINDS = {
-    "monotone_triangle": lambda obj: MonotoneTriangle(obj["rows_bottom_up"]),
+    "monotone_triangle": lambda obj: MonotoneTriangle(_rows_field(obj, "rows_bottom_up")),
     "monotone_trapezoid": lambda obj: MonotoneTrapezoid(
-        obj["d"], obj["m"], obj["rows_bottom_up"], obj.get("ambient_n")
+        _int_field(obj, "d"),
+        _int_field(obj, "m"),
+        _rows_field(obj, "rows_bottom_up"),
+        _int_field(obj, "ambient_n", optional=True),
     ),
-    "asm": lambda obj: Asm(obj["rows"]),
-    "partial_asm": lambda obj: PartialAsm(obj["n"], obj["rows"]),
+    "asm": lambda obj: Asm(_rows_field(obj, "rows")),
+    "partial_asm": lambda obj: PartialAsm(_int_field(obj, "n"), _rows_field(obj, "rows")),
 }
 
 
 def from_json_obj(obj: dict):
+    """The object a JSON value describes; ValueError if it is not an object,
+    names an unknown kind, or has a field that is missing or of the wrong
+    shape."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")

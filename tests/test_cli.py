@@ -209,3 +209,50 @@ def test_verify_zero_cases_is_usage_error():
     code, out, err = run_process("verify", "--n-max", "0")
     assert_usage_error(code, err)
     assert out == ""
+
+
+def test_malformed_json_field_is_usage_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "monotone_triangle", "rows_bottom_up": 5}))
+    for argv in (("transform", "--op", "ad"), ("convert", "--to", "asm")):
+        code, _, err = run_process(*argv, "--in", str(path))
+        assert_usage_error(code, err)
+        assert "rows_bottom_up" in err
+
+
+def test_count_trapezoids_nonpositive_order_is_usage_error():
+    for n in ("0", "-3"):
+        code, out, err = run_process("count", "trapezoids", "--n", n)
+        assert_usage_error(code, err)
+        assert out == ""
+
+
+def test_nonpositive_jobs_is_usage_error():
+    for jobs in ("0", "-3"):
+        code, out, err = run_process("--jobs", jobs, "table", "--which", "a_nk", "--n", "3")
+        assert_usage_error(code, err)
+        assert "--jobs" in err and out == ""
+
+
+def test_convert_zero_width_is_usage_error(tmp_path):
+    trap = {
+        "kind": "monotone_trapezoid",
+        "d": 2,
+        "m": 4,
+        "rows_bottom_up": [[1, 3, 4, 6], [2, 4, 5], [3, 4]],
+        "ambient_n": 6,
+    }
+    path = tmp_path / "trap.json"
+    path.write_text(json.dumps(trap))
+    code, out, err = run_process("convert", "--in", str(path), "--to", "partial_asm", "--n", "0")
+    assert_usage_error(code, err)
+    assert "--n must be positive" in err and out == ""
+
+
+@pytest.mark.parametrize("which", ["a_nij", "b_nij"])
+def test_table_rows_over_jobs_are_byte_identical(which):
+    code_s, serial, _ = run_process("table", "--which", which, "--n", "30")
+    code_p, parallel, _ = run_process("--jobs", "2", "table", "--which", which, "--n", "30")
+    assert code_s == code_p == 0
+    assert serial == parallel
+    assert len(serial.splitlines()) == 30 * 30

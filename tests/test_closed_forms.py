@@ -104,3 +104,37 @@ def test_input_validation():
         stroganov_b(1, 1, 1)
     with pytest.raises(ValueError):
         a_nij(4, 0, 2)
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_refined_counts_beyond_enumeration_reach(n):
+    rc = refined_counts(n)
+    assert rc.total == asm_total(n)
+    assert rc.top == tuple(a_nk(n, k) for k in range(1, n + 1))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert stroganov_b(n, i, j) == rc.top_bottom.get((i, j), 0), (n, i, j)
+
+
+def test_division_is_checked():
+    from asmlab.closed_forms import _exact_div
+
+    assert _exact_div(12, 4, "twelve quarters") == 3
+    with pytest.raises(ArithmeticError, match="seven halves not integral"):
+        _exact_div(7, 2, "seven halves")
+
+
+def test_closed_forms_use_no_fractions():
+    from asmlab import closed_forms
+
+    assert "Fraction" not in vars(closed_forms)
+    assert "fractions" not in vars(closed_forms)
+
+
+def test_direct_form_reads_no_b_table():
+    from asmlab import closed_forms
+
+    closed_forms._b_table.cache_clear()
+    a_nij_direct(9, 4, 6)
+    assert closed_forms._b_table.cache_info().currsize == 0
+    assert a_nij_direct(9, 4, 6) == a_nij(9, 4, 6)

@@ -1,5 +1,7 @@
 """Brute-force counting oracles."""
 
+import re
+
 import pytest
 
 from asmlab import (
@@ -134,3 +136,64 @@ def test_gamma_at_special_point_matches_trapezoids(n):
                         s,
                         i,
                     )
+
+
+def _classify_by_enumeration(n):
+    """(total, top, top_bottom) of order n, one triangle at a time."""
+    top = [0] * n
+    top_bottom = {}
+    total = 0
+    for triangle in enumerate_triangles(tuple(range(1, n + 1))):
+        total += 1
+        j = triangle.rows[-1][0]
+        i = 1 if n == 1 else next(x for x in range(1, n + 1) if x not in triangle.rows[1])
+        top[j - 1] += 1
+        top_bottom[(i, j)] = top_bottom.get((i, j), 0) + 1
+    return total, tuple(top), top_bottom
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_refined_counts_equal_exhaustive_classification(n):
+    rc = refined_counts(n)
+    assert (rc.total, rc.top, rc.top_bottom) == _classify_by_enumeration(n)
+
+
+def test_refined_counts_read_no_closed_form(monkeypatch):
+    from asmlab import closed_forms
+
+    def forbidden(*args):
+        raise AssertionError("refined_counts read a closed form")
+
+    for name in ("asm_total", "a_nk", "stroganov_b", "a_nij", "_a_row", "_b_table"):
+        monkeypatch.setattr(closed_forms, name, forbidden)
+    assert refined_counts(6).total == TOTALS[5]
+
+
+def test_refined_counts_rejects_nonpositive_order():
+    with pytest.raises(ValueError):
+        refined_counts(0)
+
+
+def test_index_tuples_orderings():
+    from asmlab.enumeration import index_tuples
+
+    assert index_tuples(4, ["2", 1], (3,)) == ((2, 1), (3,))
+    assert index_tuples(4, (1, 1), (), order="weak") == ((1, 1), ())
+    cases = [
+        ((0, (), ()), None, "n must be positive"),
+        ((-3, (), ()), "strict", "n must be positive"),
+        ((2, (1, 2), (1,)), None, "need c + d <= n"),
+        ((3, (4,), ()), "weak", "s entries must lie in [1, 3]"),
+        ((3, (), (0,)), None, "i entries must lie in [1, 3]"),
+        ((4, (2, 2), ()), "strict", "s must be strictly increasing"),
+        ((4, (), (3, 1)), "weak", "i must be weakly increasing"),
+    ]
+    for args, order, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            index_tuples(*args, order=order)
+
+
+def test_trapezoid_count_rejects_nonpositive_order():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be positive"):
+            count_trapezoids(n, (), ())

@@ -165,3 +165,22 @@ def test_json_roundtrip_all_kinds():
 def test_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         objects.from_json_obj({"kind": "mystery"})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "monotone_triangle", "rows_bottom_up": 5},
+        {"kind": "monotone_triangle", "rows_bottom_up": [1, 2]},
+        {"kind": "monotone_triangle", "rows_bottom_up": [[1, "2"], [1]]},
+        {"kind": "monotone_triangle", "rows_bottom_up": [[1, 2.5], [1]]},
+        {"kind": "monotone_triangle"},
+        {"kind": "asm", "rows": [[True]]},
+        {"kind": "partial_asm", "n": "4", "rows": [[0, 1, 0, 0]]},
+        {"kind": "monotone_trapezoid", "d": None, "m": 2, "rows_bottom_up": [[1, 2]]},
+        {"kind": "monotone_trapezoid", "d": 1, "m": 2, "rows_bottom_up": [[1, 2]], "ambient_n": [3]},
+    ],
+)
+def test_json_rejects_malformed_fields(obj):
+    with pytest.raises(ValueError):
+        objects.from_json_obj(obj)
