@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import closed_forms, coefficients, enumeration, objects
 from .enumeration import EXHAUSTIVE_FAMILY_CAP, SINGLE_COUNT_CAP, BottomRowSpec
 from .polynomials import TermCapExceeded, term_cap
+from .reports import decimal
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -105,16 +106,16 @@ def _grid_rows(which, n, jobs):
     rows i of a two-index table go to a process pool, each worker building
     its own per-n tables; the output order does not change."""
     if which == "asm_total":
-        return [[str(m), str(closed_forms.asm_total(m))] for m in range(1, n + 1)]
+        return [[str(m), decimal(closed_forms.asm_total(m))] for m in range(1, n + 1)]
     if which == "a_nk":
-        return [[str(k), str(closed_forms.a_nk(n, k))] for k in range(1, n + 1)]
+        return [[str(k), decimal(closed_forms.a_nk(n, k))] for k in range(1, n + 1)]
     indices = range(1, n + 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             values = list(pool.map(_grid_row, [which] * n, [n] * n, indices))
     else:
         values = [_grid_row(which, n, i) for i in indices]
-    return [[str(i), str(j), str(v)] for i, row in zip(indices, values) for j, v in enumerate(row, 1)]
+    return [[str(i), str(j), decimal(v)] for i, row in zip(indices, values) for j, v in enumerate(row, 1)]
 
 
 def cmd_table(args) -> int:

@@ -104,18 +104,25 @@ def _successor_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     yield from rec(0, ())
 
 
-@lru_cache(maxsize=None)
+def _translated(row: tuple[int, ...]) -> tuple[int, ...]:
+    """The row moved to start at 0; the triangles over a row and over its
+    translate correspond one to one."""
+    return tuple(x - row[0] for x in row)
+
+
+@lru_cache(maxsize=65536)
 def _count_over_row(row: tuple[int, ...]) -> int:
+    """Number of triangles over `row`, which must start at 0."""
     if len(row) == 1:
         return 1
-    return sum(_count_over_row(nxt) for nxt in _successor_rows(row))
+    return sum(_count_over_row(_translated(nxt)) for nxt in _successor_rows(row))
 
 
 def count_triangles(spec) -> int:
     """Exact number of (extended, if weak_bottom) monotone triangles with the
     given bottom row."""
     spec = _coerce_spec(spec)
-    return _count_over_row(spec.entries)
+    return _count_over_row(_translated(spec.entries))
 
 
 def enumerate_triangles(spec) -> Iterator[MonotoneTriangle]:
@@ -138,7 +145,7 @@ def _complement(n: int, removed: Sequence[int]) -> tuple[int, ...]:
     return tuple(x for x in range(1, n + 1) if x not in removed_set)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _count_to_top(row: tuple[int, ...], top: tuple[int, ...]) -> int:
     if len(row) == len(top):
         return 1 if row == top else 0

@@ -9,6 +9,7 @@ so that enumerators can use it as a filter.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -323,11 +324,9 @@ def reflect_antidiagonal(triangle: MonotoneTriangle) -> MonotoneTriangle:
     """AD: b_{i,j} = #{x in the j-th SE-diagonal with x >= i}; corresponds to
     reflecting the matrix along the antidiagonal."""
     n = _require_complete(triangle)
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(
-            [sum(1 for x in triangle.se_diagonal(j) if x >= i) for j in range(i, n + 1)]
-        )
+    # interlacing makes every SE-diagonal weakly increasing
+    diagonals = [triangle.se_diagonal(j) for j in range(1, n + 1)]
+    rows = [[len(d) - bisect_left(d, i) for d in diagonals[i - 1 :]] for i in range(1, n + 1)]
     return MonotoneTriangle(rows)
 
 
@@ -335,14 +334,12 @@ def rotate_90(triangle: MonotoneTriangle) -> MonotoneTriangle:
     """R: c_{i,j} = #{x in the (n+1-j)-th NE-diagonal with x <= n+1-i};
     corresponds to rotating the matrix clockwise by 90 degrees."""
     n = _require_complete(triangle)
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(
-            [
-                sum(1 for x in triangle.ne_diagonal(n + 1 - j) if x <= n + 1 - i)
-                for j in range(i, n + 1)
-            ]
-        )
+    # interlacing makes every NE-diagonal weakly increasing
+    diagonals = [triangle.ne_diagonal(l) for l in range(1, n + 1)]
+    rows = [
+        [bisect_right(diagonals[n - j], n + 1 - i) for j in range(i, n + 1)]
+        for i in range(1, n + 1)
+    ]
     return MonotoneTriangle(rows)
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb, factorial, prod
 from operator import getitem
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 DEFAULT_TERM_CAP = 2_000_000
 TERM_CAP_ENV = "ASMLAB_TERM_CAP"
@@ -203,33 +203,15 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree_in(self, var: int) -> int:
-        """Degree in k_var; -1 for the zero polynomial."""
-        idx = _index(var, self.arity)
-        return max((e[idx] for e in self.terms), default=-1)
-
-    def max_degrees(self) -> tuple[int, ...]:
-        """Per-variable degrees (0 for absent variables of a nonzero poly)."""
-        degs = [0] * self.arity
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > degs[i]:
-                    degs[i] = e
-        return tuple(degs)
-
     def __repr__(self):
         return f"MultiPoly(arity={self.arity}, nterms={len(self.terms)})"
 
     # -- substitution and evaluation ----------------------------------------
 
-    def substitute_affine(self, var: int, target: int | None, offset) -> "MultiPoly":
-        """Substitute k_var -> k_target + offset (or the constant offset if
-        target is None)."""
+    def substitute_affine(self, var: int, target: int, offset) -> "MultiPoly":
+        """Substitute k_var -> k_target + offset; target may equal var."""
         idx = _index(var, self.arity)
-        tidx = None if target is None else _index(target, self.arity)
+        tidx = _index(target, self.arity)
         offset = _as_fraction(offset)
         terms: dict[tuple[int, ...], Fraction] = {}
         for exps, coef in self.terms.items():
@@ -239,10 +221,6 @@ class MultiPoly:
                 continue
             base = list(exps)
             base[idx] = 0
-            if tidx is None:
-                key = tuple(base)
-                terms[key] = terms.get(key, Fraction(0)) + coef * offset**e
-                continue
             # (k_target + offset)^e by the binomial theorem
             for m in range(e + 1):
                 part = coef * comb(e, m) * offset ** (e - m)
@@ -259,16 +237,6 @@ class MultiPoly:
         if h == 0:
             return self
         return self.substitute_affine(var, var, h)
-
-    def substitute_value(self, var: int, value) -> "MultiPoly":
-        return self.substitute_affine(var, None, value)
-
-    def specialize(self, assignment: Mapping[int, int]) -> "MultiPoly":
-        """Substitute the given variables by values, keeping the arity."""
-        poly = self
-        for var, value in assignment.items():
-            poly = poly.substitute_value(var, value)
-        return poly
 
     def evaluate(self, values: Sequence) -> Fraction:
         """Exact evaluation at a full assignment (values[i] is k_{i+1})."""
@@ -309,48 +277,6 @@ class MultiPoly:
             self.arity, {e: c * (-1) ** (sum(e) % 2) for e, c in self.terms.items()}
         )
 
-    def insert_variable(self, position: int) -> "MultiPoly":
-        """Insert an unused variable at 1-based `position`, raising the arity."""
-        if not 1 <= position <= self.arity + 1:
-            raise ValueError("position out of range")
-        cut = position - 1
-        return MultiPoly(
-            self.arity + 1,
-            {e[:cut] + (0,) + e[cut:]: c for e, c in self.terms.items()},
-        )
-
-    # -- finite-difference calculus -----------------------------------------
-
-    def forward_difference(self, var: int) -> "MultiPoly":
-        """Delta_var = E_var - id."""
-        return self.shift(var, 1) - self
-
-    def backward_difference(self, var: int) -> "MultiPoly":
-        """delta_var = id - E_var^{-1}."""
-        return self - self.shift(var, -1)
-
-    def antidifference(self, var: int) -> "MultiPoly":
-        """The polynomial F with Delta_var F = self and F free of constant
-        term in k_var, computed through the binomial basis, where it maps
-        C(k_var, j) to C(k_var, j + 1)."""
-        idx = _index(var, self.arity)
-        binomial = axis_transform(self.terms, idx, _power_to_binomial_row)
-        raised = {e[:idx] + (e[idx] + 1,) + e[idx + 1 :]: c for e, c in binomial.items()}
-        return MultiPoly(self.arity, axis_transform(raised, idx, _binomial_to_power_row))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_obj(self) -> list[dict]:
-        """Canonical JSON form: lex-ordered exponent vectors, fraction strings."""
-        return [
-            {"exps": list(exps), "coef": str(self.terms[exps])}
-            for exps in sorted(self.terms)
-        ]
-
-    @classmethod
-    def from_json_obj(cls, arity: int, data: Iterable[dict]) -> "MultiPoly":
-        return cls(arity, {tuple(item["exps"]): Fraction(item["coef"]) for item in data})
-
 
 def _index(var: int, arity: int) -> int:
     if not 1 <= var <= arity:
@@ -383,14 +309,6 @@ def axis_transform(terms: Mapping, axis: int, row: Callable[[int], Sequence]) ->
                 new = head + (j,) + tail
                 out[new] = out.get(new, 0) + coef * factor
     return out
-
-
-@lru_cache(maxsize=64)
-def _power_to_binomial_row(p: int) -> tuple[int, ...]:
-    """x^p = sum_j row[j] C(x, j), where row[j] = (Delta^j x^p)(0) = j! S(p, j)."""
-    return tuple(
-        sum((-1) ** (j - t) * comb(j, t) * t**p for t in range(j + 1)) for j in range(p + 1)
-    )
 
 
 @lru_cache(maxsize=64)
@@ -455,23 +373,13 @@ class BinomialPoly:
         _check_cap(len(poly.terms))
         return poly
 
-    # -- conversion to and from the power basis ------------------------------
+    # -- conversion to the power basis ----------------------------------------
 
     def to_multipoly(self) -> MultiPoly:
         terms = self.terms
         for idx in range(self.arity):
             terms = axis_transform(terms, idx, _binomial_to_power_row)
         return MultiPoly(self.arity, terms)
-
-    @classmethod
-    def from_multipoly(cls, poly: MultiPoly) -> "BinomialPoly":
-        """Raises ValueError unless `poly` is integer-valued."""
-        terms = poly.terms
-        for idx in range(poly.arity):
-            terms = axis_transform(terms, idx, _power_to_binomial_row)
-        if any(c.denominator != 1 for c in terms.values()):
-            raise ValueError("polynomial is not integer-valued")
-        return cls(poly.arity, {e: c.numerator for e, c in terms.items()})
 
     # -- ring operations ------------------------------------------------------
 

@@ -9,6 +9,7 @@ import pytest
 
 import asmlab
 from asmlab.cli import main
+from asmlab.reports import decimal
 
 
 def run(capsys, *argv):
@@ -256,3 +257,15 @@ def test_table_rows_over_jobs_are_byte_identical(which):
     assert code_s == code_p == 0
     assert serial == parallel
     assert len(serial.splitlines()) == 30 * 30
+
+
+def test_table_beyond_the_int_str_digit_limit():
+    # A_200 has 4,545 digits; str() refuses more than 4,300 by default
+    code_s, serial, err_s = run_process("table", "--which", "asm_total", "--n", "200")
+    code_p, parallel, err_p = run_process("--jobs", "2", "table", "--which", "asm_total", "--n", "200")
+    assert code_s == code_p == 0 and err_s == err_p == ""
+    assert serial == parallel
+    lines = serial.splitlines()
+    assert len(lines) == 200
+    assert lines[-1] == f"200,{decimal(asmlab.asm_total(200))}"
+    assert len(lines[-1]) == len("200,") + 4545

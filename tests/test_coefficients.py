@@ -23,6 +23,7 @@ from asmlab import (
     special_point,
     verify_theorem7,
 )
+from asmlab.coefficients import _specialized_alpha
 
 
 def test_index_pair_validation():
@@ -83,6 +84,16 @@ def test_reconstruction_small(n, c, d):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_cyclic_identity(n):
     assert check_cyclic(n).passed()
+
+
+def test_whole_polynomial_checks_count_their_cases():
+    cyclic = check_cyclic(3)
+    assert cyclic.passed() and cyclic.cases == 1
+    assert check_reflection_translation(3, 5).cases == 2
+    # one case per power-basis term of the specialized alpha_4
+    reconstruction = reconstruct_expansion(coefficient_table(4, 1, 1))
+    assert reconstruction.passed()
+    assert reconstruction.cases == len(_specialized_alpha(4, 1, 1).to_multipoly().terms)
 
 
 @pytest.mark.parametrize("z", [-3, 1, 5])
