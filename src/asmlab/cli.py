@@ -4,7 +4,8 @@ Subcommands: count, coeff, table, verify, transform, convert.  All counts are
 printed as decimal strings and never as JSON numbers; output is byte-identical
 across runs for identical arguments.  Exit status: 0 success / all checks
 pass, 1 verification failure, 2 usage error (bad arguments or input files, a
-malformed ASMLAB_TERM_CAP, or a polynomial outgrowing that cap).
+malformed ASMLAB_TERM_CAP, or a polynomial outgrowing that cap), 3 any other
+error; an error prints one `error:` line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .reports import decimal
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+INTERNAL_ERROR = 3
 
 
 class UsageError(Exception):
@@ -178,7 +180,7 @@ def _verify_cases(suite: str, n_max: int):
                         )
                     )
             if n >= 2:
-                cases.append((f"relation n={n}", lambda n=n: closed_forms.check_relation(n)))
+                cases.append((f"relation n={n}", lambda n=n: coefficients.check_relation(n)))
             if n >= 3:
                 cases.append((f"near-symmetry n={n}", lambda n=n: closed_forms.check_near_symmetry(n)))
     return cases
@@ -323,6 +325,9 @@ def main(argv=None) -> int:
     except (UsageError, TermCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def _check_term_cap() -> None:

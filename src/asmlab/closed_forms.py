@@ -8,10 +8,10 @@ All arithmetic is on Python integers.  Every division goes through
 `_exact_div`, which raises ArithmeticError on a nonzero remainder, so a
 formula that stops being integral fails loudly instead of rounding.
 
-Each object is computed once per order n: the row a_nk(n, 1..n) and the
-n x n table of Stroganov's B(n; i, j), both in bounded per-n caches.  B
-comes from one O(n^2) pass: for a fixed offset j - i the sum over l <= i is
-a prefix sum.  `a_nij` reads the B table; `a_nij_direct` is its own double
+Each object is computed once per order n, in a bounded per-n memo: A_n, one
+step up from the largest order known; the row a_nk(n, 1..n); the n x n table
+of Stroganov's B(n; i, j), from one O(n^2) pass of prefix sums along each
+diagonal j - i.  `a_nij` reads the B table; `a_nij_direct` is its own double
 sum over a_nk and never touches the B table, so it stays a cross-check.
 """
 
@@ -20,30 +20,36 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .coefficients import IndexTuplePair, extract_coefficient
-from .reports import VerificationReport
+from .reports import VerificationReport, decimal
 
 
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
-        raise ArithmeticError(f"{what} not integral: {numerator}/{denominator}")
+        raise ArithmeticError(f"{what} not integral: {decimal(numerator)}/{decimal(denominator)}")
     return quotient
 
 
-@lru_cache(maxsize=256)
+_TOTALS_KEPT = 256  # orders kept in _totals, {n: A_n}; the oldest goes first
+_totals: dict[int, int] = {}
+
+
 def asm_total(n: int) -> int:
-    """Product formula A_n = prod_{j<n} (3j+1)!/(n+j)!, taken one order at a
-    time: A_{m+1} = A_m (3m+1)! m! / ((2m)! (2m+1)!)."""
+    """Product formula A_n = prod_{j<n} (3j+1)!/(n+j)!, one order at a time from
+    the largest known order up to n: A_{m+1} = A_m (3m+1)! m! / ((2m)! (2m+1)!)."""
     if n < 1:
         raise ValueError("n must be positive")
-    total = 1
-    for m in range(1, n):
+    start = max((m for m in _totals if m <= n), default=1)
+    total = _totals.get(start, 1)
+    for m in range(start, n):
         total = _exact_div(
             total * factorial(3 * m + 1) * factorial(m),
             factorial(2 * m) * factorial(2 * m + 1),
             f"total count for n={m + 1}",
         )
+    _totals[n] = total
+    if len(_totals) > _TOTALS_KEPT:
+        del _totals[next(iter(_totals))]
     return total
 
 
@@ -145,25 +151,6 @@ def a_nij_direct(n: int, i: int, j: int) -> int:
                 + prev[k - 1 + p] * (cur[l + n] - cur[l - 1 + n])
             )
     return _exact_div(total, asm_total(n - 1), f"A({n};{i},{j})")
-
-
-def check_relation(n: int) -> VerificationReport:
-    """A(n; s_1, s_2; -) as an alternating sum of A(n; s_1; i), both sides
-    from coefficient extraction."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    report = VerificationReport("two-row-from-doubly-refined", f"n={n}")
-    for s1 in range(1, n + 1):
-        for s2 in range(s1 + 1, n + 1):
-            lhs = extract_coefficient(IndexTuplePair(n, (s1, s2)))
-            rhs = sum(
-                (-1) ** ((n + i1) % 2)
-                * comb(2 * n - 2 - s2, i1 - s2)
-                * extract_coefficient(IndexTuplePair(n, (s1,), (i1,)))
-                for i1 in range(s2, n + 1)
-            )
-            report.record({"s": (s1, s2)}, lhs, rhs)
-    return report
 
 
 def check_near_symmetry(n: int) -> VerificationReport:

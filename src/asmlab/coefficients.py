@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
 from .enumeration import (
@@ -240,8 +240,6 @@ def check_circuit(n: int, c: int, d: int, t: int) -> VerificationReport:
     """The relation trading the t largest s-indices for extra i-indices."""
     if not 0 <= t <= c:
         raise ValueError("need 0 <= t <= c")
-    from math import comb
-
     report = VerificationReport("circuit-relation", f"n={n}, c={c}, d={d}, t={t}")
     for s in combinations(range(1, n + 1), c):
         for i in combinations(range(1, n + 1), d):
@@ -266,8 +264,6 @@ def check_system(n: int, d: int) -> VerificationReport:
     """The n^d linear equations satisfied by the c=0 coefficients."""
     if d < 1:
         raise ValueError("need d >= 1")
-    from math import comb
-
     report = VerificationReport("linear-system", f"n={n}, d={d}")
     table = coefficient_table(n, 0, d)
     for i in product(range(1, n + 1), repeat=d):
@@ -292,6 +288,25 @@ def check_remark_symmetry(n: int, c: int, d: int) -> VerificationReport:
             left = extract_coefficient(IndexTuplePair(n, s, i))
             right = extract_coefficient(IndexTuplePair(n, i, s))
             report.record({"s": s, "i": i}, left, right)
+    return report
+
+
+def check_relation(n: int) -> VerificationReport:
+    """A(n; s_1, s_2; -) as an alternating sum of A(n; s_1; i), both sides
+    from coefficient extraction."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    report = VerificationReport("two-row-from-doubly-refined", f"n={n}")
+    for s1 in range(1, n + 1):
+        for s2 in range(s1 + 1, n + 1):
+            lhs = extract_coefficient(IndexTuplePair(n, (s1, s2)))
+            rhs = sum(
+                (-1) ** ((n + i1) % 2)
+                * comb(2 * n - 2 - s2, i1 - s2)
+                * extract_coefficient(IndexTuplePair(n, (s1,), (i1,)))
+                for i1 in range(s2, n + 1)
+            )
+            report.record({"s": (s1, s2)}, lhs, rhs)
     return report
 
 

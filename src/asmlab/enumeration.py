@@ -146,10 +146,17 @@ def _complement(n: int, removed: Sequence[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=65536)
-def _count_to_top(row: tuple[int, ...], top: tuple[int, ...]) -> int:
-    if len(row) == len(top):
-        return 1 if row == top else 0
-    return sum(_count_to_top(nxt, top) for nxt in _successor_rows(row))
+def _top_rows(row: tuple[int, ...], d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(top row, number of trapezoids from `row` up to it) for every row of
+    length d that interlacing rows reach from `row`, sorted by top row; tops
+    with no trapezoid are left out.  Needs 1 <= d <= len(row)."""
+    if len(row) == d:
+        return ((row, 1),)
+    by_top: dict[tuple[int, ...], int] = {}
+    for nxt in _successor_rows(row):
+        for top, ways in _top_rows(nxt, d):
+            by_top[top] = by_top.get(top, 0) + ways
+    return tuple(sorted(by_top.items()))
 
 
 def count_trapezoids(n: int, s: Sequence[int], i: Sequence[int]) -> int:
@@ -161,7 +168,7 @@ def count_trapezoids(n: int, s: Sequence[int], i: Sequence[int]) -> int:
     if d == 0:
         # c = n removes the whole bottom row; the empty trapezoid counts once
         return count_triangles(bottom) if bottom else 1
-    return _count_to_top(bottom, i)
+    return dict(_top_rows(bottom, d)).get(i, 0)
 
 
 @dataclass(frozen=True)
@@ -174,42 +181,25 @@ class RefinedCounts:
     top_bottom: dict  # (i, j) -> matrices with bottom-row 1 in column i, top-row 1 in column j
 
 
-@lru_cache(maxsize=65536)
-def _top_profile(row: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(top entry, number of triangles over row with that top entry) pairs,
-    sorted by top entry; entries with no triangle are left out."""
-    if len(row) == 1:
-        return ((row[0], 1),)
-    by_top: dict[int, int] = {}
-    for nxt in _successor_rows(row):
-        for top, ways in _top_profile(nxt):
-            by_top[top] = by_top.get(top, 0) + ways
-    return tuple(sorted(by_top.items()))
-
-
 def refined_counts(n: int) -> RefinedCounts:
     """Classify every complete triangle of order n by the positions of the 1
     in the top and bottom rows of its alternating sign matrix.
 
-    The top-row 1 sits in the column of the triangle's top entry; the
-    bottom-row 1 in the column i missing from its second row.  A DP over
-    interlacing rows (`_top_profile`, memoized per row) counts the triangles
-    over each second row by top entry, so the classification covers all
-    triangles without building any of them.  No closed form is read.
+    The triangles with the bottom-row 1 in column i and the top-row 1 in
+    column j are the trapezoids from the second row {1..n} minus {i} up to
+    the top row (j), so one `_top_rows` lookup per i gives row i of the
+    classification without building any triangle.  No closed form is read.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n == 1:
+        return RefinedCounts(1, 1, (1,), {(1, 1): 1})
     top = [0] * n
     top_bottom: dict[tuple[int, int], int] = {}
-    bottom = tuple(range(1, n + 1))
-    if n == 1:
-        second_rows = [(1, bottom)]
-    else:
-        second_rows = [(_complement(n, row)[0], row) for row in _successor_rows(bottom)]
-    for i, row in second_rows:
-        for j, ways in _top_profile(row):
+    for i in range(1, n + 1):
+        for (j,), ways in _top_rows(_complement(n, (i,)), 1):
             top[j - 1] += ways
-            top_bottom[(i, j)] = top_bottom.get((i, j), 0) + ways
+            top_bottom[(i, j)] = ways
     return RefinedCounts(n, sum(top), tuple(top), top_bottom)
 
 

@@ -298,16 +298,20 @@ def axis_transform(terms: Mapping, axis: int, row: Callable[[int], Sequence]) ->
     """Re-expand one axis of a sparse tensor {index tuple: coefficient}.
 
     An entry with index e on `axis` contributes coefficient * row(e)[j] to the
-    entry with index j there.  Basis changes, negation and coefficient tables
-    are each one such pass per axis.  Zero coefficients may remain.
+    entry with index j there; `row` is called once per index e.  Basis
+    changes, negation, specialization and coefficient tables are one pass
+    per axis.  Zero coefficients may remain.
     """
     out: dict = {}
+    rows: dict = {}  # e -> the pairs ((j,), row(e)[j]) with a nonzero factor
     for key, coef in terms.items():
+        e = key[axis]
+        if e not in rows:
+            rows[e] = [((j,), factor) for j, factor in enumerate(row(e)) if factor]
         head, tail = key[:axis], key[axis + 1 :]
-        for j, factor in enumerate(row(key[axis])):
-            if factor:
-                new = head + (j,) + tail
-                out[new] = out.get(new, 0) + coef * factor
+        for j, factor in rows[e]:
+            new = head + j + tail
+            out[new] = out.get(new, 0) + coef * factor
     return out
 
 
@@ -446,16 +450,13 @@ class BinomialPoly:
         return self.substitute_affine(var, var, h)
 
     def specialize(self, assignment: Mapping[int, int]) -> "BinomialPoly":
-        """Substitute the given variables by integer values, keeping the arity."""
-        slots = [(_index(var, self.arity), value) for var, value in assignment.items()]
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, coef in self.terms.items():
-            key = list(exps)
-            for idx, value in slots:
-                coef *= binom(value, key[idx])
-                key[idx] = 0
-            new = tuple(key)
-            terms[new] = terms.get(new, 0) + coef
+        """Substitute the given variables by integer values, keeping the arity;
+        with no variable to pin it returns self."""
+        if not assignment:
+            return self
+        terms = self.terms
+        for var, value in assignment.items():
+            terms = axis_transform(terms, _index(var, self.arity), lambda e, x=value: (binom(x, e),))
         return BinomialPoly._of(self.arity, terms)
 
     def contract(self, tables: Sequence[Sequence[int]]) -> int:

@@ -52,6 +52,18 @@ def test_coeff_methods_agree(capsys):
     assert code == 0 and "match" in out
 
 
+def test_unexpected_error_exits_three(capsys, monkeypatch):
+    from asmlab import closed_forms
+
+    def broken(n):
+        raise ArithmeticError("total count for n=2 not integral: 7/2")
+
+    monkeypatch.setattr(closed_forms, "asm_total", broken)
+    code, out, err = run(capsys, "table", "--which", "asm_total", "--n", "3")
+    assert code == 3 and out == ""
+    assert err == "error: ArithmeticError: total count for n=2 not integral: 7/2\n"
+
+
 def test_table_csv_deterministic(capsys):
     _, first, _ = run(capsys, "table", "--which", "b_nij", "--n", "4")
     _, second, _ = run(capsys, "table", "--which", "b_nij", "--n", "4")

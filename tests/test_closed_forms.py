@@ -122,6 +122,9 @@ def test_division_is_checked():
     assert _exact_div(12, 4, "twelve quarters") == 3
     with pytest.raises(ArithmeticError, match="seven halves not integral"):
         _exact_div(7, 2, "seven halves")
+    # operands past the 4,300-digit limit of str() still give an ArithmeticError
+    with pytest.raises(ArithmeticError, match="huge not integral: 1000"):
+        _exact_div(10**5000 + 1, 10**10, "huge")
 
 
 def test_closed_forms_use_no_fractions():
@@ -129,6 +132,31 @@ def test_closed_forms_use_no_fractions():
 
     assert "Fraction" not in vars(closed_forms)
     assert "fractions" not in vars(closed_forms)
+
+
+def test_closed_forms_read_no_extraction():
+    from asmlab import closed_forms
+
+    for name in ("extract_coefficient", "IndexTuplePair", "coefficients"):
+        assert name not in vars(closed_forms)
+
+
+def test_total_steps_from_the_largest_known_order(monkeypatch):
+    from asmlab import closed_forms
+
+    monkeypatch.setattr(closed_forms, "_totals", {})
+    asm_total(199)
+    calls = []
+    factorial = closed_forms.factorial
+    monkeypatch.setattr(closed_forms, "factorial", lambda x: calls.append(x) or factorial(x))
+    value = asm_total(200)
+    # one step A_199 -> A_200 takes (3m+1)!, m!, (2m)! and (2m+1)! at m = 199
+    assert sorted(calls) == [199, 398, 399, 598]
+    numerator = denominator = 1
+    for j in range(200):
+        numerator *= factorial(3 * j + 1)
+        denominator *= factorial(200 + j)
+    assert numerator % denominator == 0 and value == numerator // denominator
 
 
 def test_direct_form_reads_no_b_table():

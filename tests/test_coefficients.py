@@ -60,6 +60,15 @@ def test_theorem7_small(n):
             assert report.passed(), report.to_json()
 
 
+def test_specializing_no_variable_keeps_alpha():
+    from asmlab.coefficients import _specialized_alpha
+    from asmlab.polynomials import alpha_via_recursion
+
+    for n in range(1, 6):
+        for c in range(n + 1):
+            assert _specialized_alpha(n, c, n - c) is alpha_via_recursion(n)
+
+
 def test_coefficient_table_matches_pointwise_extraction():
     n, c, d = 4, 1, 1
     table = coefficient_table(n, c, d)
