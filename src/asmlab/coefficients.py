@@ -9,7 +9,8 @@ circuit relation, the linear system, and the s/i symmetry).
 alpha_n is held in the binomial basis, where the differences are index
 moves: Delta^m C(x, e) = C(x, e - m) and nabla^m C(x, e) = C(x - m, e - m).
 A coefficient is then one pass over the terms, and a coefficient table one
-basis change per axis.  The re-expansion check works in the power basis.
+basis change per axis.  The identity checks read whole tables; the single
+cell serves `asmlab coeff`.  The re-expansion check works in the power basis.
 """
 
 from __future__ import annotations
@@ -107,15 +108,10 @@ def _difference_value(poly: BinomialPoly, s: tuple[int, ...], i: tuple[int, ...]
     return sign * poly.contract(tables)
 
 
-@lru_cache(maxsize=65536)
-def _extract(n: int, s: tuple[int, ...], i: tuple[int, ...]) -> int:
-    c, d = len(s), len(i)
-    return _difference_value(_specialized_alpha(n, c, d), s, i, special_point(n, c, d))
-
-
 def extract_coefficient(pair: IndexTuplePair) -> int:
-    """A(n; s; i) by finite differences of alpha_n at the anchored point."""
-    return _extract(pair.n, pair.s, pair.i)
+    """One A(n; s; i) by finite differences of alpha_n at the anchored point."""
+    n, c, d = pair.n, len(pair.s), len(pair.i)
+    return _difference_value(_specialized_alpha(n, c, d), pair.s, pair.i, special_point(n, c, d))
 
 
 def coefficient_table(n: int, c: int, d: int) -> CoefficientTable:
@@ -125,6 +121,8 @@ def coefficient_table(n: int, c: int, d: int) -> CoefficientTable:
     power m with weight Delta^m C(x, e) = C(x, e - m), or nabla^m C(x, e) =
     C(x - m, e - m), at the anchored point; the other axes are pinned.
     """
+    if c < 0 or d < 0:
+        raise ValueError("need c >= 0 and d >= 0")
     if c + d > n:
         raise ValueError("need c + d <= n")
     point = special_point(n, c, d)
@@ -197,16 +195,13 @@ def _univariate(poly: MultiPoly, var: int, scale: int) -> list[tuple[int, int]]:
 
 
 def verify_theorem7(n: int, c: int, d: int) -> VerificationReport:
-    """Coefficient extraction against brute-force trapezoid counts, over all
-    strictly increasing index tuples."""
-    if d > n - c:
-        raise ValueError("need d <= n - c")
+    """The (n, c, d) coefficient table against brute-force trapezoid counts,
+    over all strictly increasing index tuples."""
+    table = coefficient_table(n, c, d)
     report = VerificationReport("coefficient-equals-trapezoid-count", f"n={n}, c={c}, d={d}")
     for s in combinations(range(1, n + 1), c):
         for i in combinations(range(1, n + 1), d):
-            expected = count_trapezoids(n, s, i)
-            actual = extract_coefficient(IndexTuplePair(n, s, i))
-            report.record({"s": s, "i": i}, expected, actual)
+            report.record({"s": s, "i": i}, count_trapezoids(n, s, i), table[(s, i)])
     return report
 
 
@@ -237,17 +232,19 @@ def check_reflection_translation(n: int, z: int) -> VerificationReport:
 
 
 def check_circuit(n: int, c: int, d: int, t: int) -> VerificationReport:
-    """The relation trading the t largest s-indices for extra i-indices."""
+    """The relation trading the t largest s-indices for extra i-indices; the
+    two sides read the (n, c, d) and (n, c - t, d + t) tables."""
     if not 0 <= t <= c:
         raise ValueError("need 0 <= t <= c")
+    table, traded = coefficient_table(n, c, d), coefficient_table(n, c - t, d + t)
     report = VerificationReport("circuit-relation", f"n={n}, c={c}, d={d}, t={t}")
     for s in combinations(range(1, n + 1), c):
         for i in combinations(range(1, n + 1), d):
-            lhs = extract_coefficient(IndexTuplePair(n, s, i))
+            lhs = table[(s, i)]
             rhs = 0
             ranges = [range(s[c - 1 - l], n + 1) for l in range(t)]
             for extra in product(*ranges):
-                coeff = extract_coefficient(IndexTuplePair(n, s[: c - t], i + extra))
+                coeff = traded[(s[: c - t], i + extra)]
                 if coeff == 0:
                     continue
                 sign = -1 if (sum(extra) + t * n) % 2 else 1
@@ -280,30 +277,30 @@ def check_system(n: int, d: int) -> VerificationReport:
 
 
 def check_remark_symmetry(n: int, c: int, d: int) -> VerificationReport:
-    """A(n; s; i) = A(n; i; s) for strictly increasing tuples, via two
-    independent extractions."""
+    """A(n; s; i) = A(n; i; s) for strictly increasing tuples, the left side
+    read from the (n, c, d) table and the right from the (n, d, c) table."""
+    table, swapped = coefficient_table(n, c, d), coefficient_table(n, d, c)
     report = VerificationReport("s-i-symmetry", f"n={n}, c={c}, d={d}")
     for s in combinations(range(1, n + 1), c):
         for i in combinations(range(1, n + 1), d):
-            left = extract_coefficient(IndexTuplePair(n, s, i))
-            right = extract_coefficient(IndexTuplePair(n, i, s))
-            report.record({"s": s, "i": i}, left, right)
+            report.record({"s": s, "i": i}, table[(s, i)], swapped[(i, s)])
     return report
 
 
 def check_relation(n: int) -> VerificationReport:
-    """A(n; s_1, s_2; -) as an alternating sum of A(n; s_1; i), both sides
-    from coefficient extraction."""
+    """A(n; s_1, s_2; -) as an alternating sum of A(n; s_1; i), the two
+    sides read from the (n, 2, 0) and (n, 1, 1) tables."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    two_rows, one_each = coefficient_table(n, 2, 0), coefficient_table(n, 1, 1)
     report = VerificationReport("two-row-from-doubly-refined", f"n={n}")
     for s1 in range(1, n + 1):
         for s2 in range(s1 + 1, n + 1):
-            lhs = extract_coefficient(IndexTuplePair(n, (s1, s2)))
+            lhs = two_rows[((s1, s2), ())]
             rhs = sum(
                 (-1) ** ((n + i1) % 2)
                 * comb(2 * n - 2 - s2, i1 - s2)
-                * extract_coefficient(IndexTuplePair(n, (s1,), (i1,)))
+                * one_each[((s1,), (i1,))]
                 for i1 in range(s2, n + 1)
             )
             report.record({"s": (s1, s2)}, lhs, rhs)

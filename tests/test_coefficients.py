@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from asmlab import (
     check_cyclic,
     check_gamma_formula,
     check_reflection_translation,
+    check_relation,
     check_remark_symmetry,
     check_system,
     coefficient_table,
@@ -23,6 +25,7 @@ from asmlab import (
     special_point,
     verify_theorem7,
 )
+from asmlab import coefficients
 from asmlab.coefficients import _specialized_alpha
 
 
@@ -76,6 +79,63 @@ def test_coefficient_table_matches_pointwise_extraction():
     for s in range(1, n + 1):
         for i in range(1, n + 1):
             assert table[((s,), (i,))] == extract_coefficient(IndexTuplePair(n, (s,), (i,)))
+    # every strict cell that criterion 03 once extracted cell by cell
+    for n in range(1, 7):
+        most = 3 if n == 6 else n  # c + d <= most
+        for c in range(most + 1):
+            for d in range(most + 1 - c):
+                table = coefficient_table(n, c, d)
+                for s in combinations(range(1, n + 1), c):
+                    for i in combinations(range(1, n + 1), d):
+                        pair = IndexTuplePair(n, s, i)
+                        assert table[(s, i)] == extract_coefficient(pair), (n, s, i)
+
+
+def test_coefficient_table_rejects_negative_sizes():
+    for c, d in [(-1, 2), (2, -1)]:
+        with pytest.raises(ValueError, match="need c >= 0 and d >= 0"):
+            coefficient_table(4, c, d)
+    with pytest.raises(ValueError, match="need c >= 0 and d >= 0"):
+        verify_theorem7(4, -1, 2)
+    with pytest.raises(ValueError, match=r"need c \+ d <= n"):
+        verify_theorem7(4, 3, 2)
+
+
+def _one_cell_off(monkeypatch, key, cell):
+    """Make coefficient_table(*key) return its table with `cell` raised by one."""
+    real = coefficients.coefficient_table
+
+    def perturbed(n, c, d):
+        table = real(n, c, d)
+        if (n, c, d) == key:
+            table.values[cell] += 1
+        return table
+
+    monkeypatch.setattr(coefficients, "coefficient_table", perturbed)
+
+
+def test_table_checks_read_every_cell_they_compare(monkeypatch):
+    # (check, table it reads, one cell of that table the check compares)
+    for check, key, cell in [
+        (lambda: verify_theorem7(4, 1, 2), (4, 1, 2), ((2,), (1, 3))),
+        (lambda: check_circuit(4, 1, 1, 1), (4, 1, 1), ((2,), (1,))),
+        (lambda: check_circuit(4, 1, 1, 1), (4, 0, 2), ((), (1, 3))),
+        (lambda: check_remark_symmetry(4, 1, 2), (4, 1, 2), ((2,), (1, 3))),
+        (lambda: check_remark_symmetry(4, 1, 2), (4, 2, 1), ((1, 3), (2,))),
+        (lambda: check_relation(4), (4, 2, 0), ((1, 3), ())),
+        (lambda: check_relation(4), (4, 1, 1), ((1,), (3,))),
+    ]:
+        assert check().passed()
+        with monkeypatch.context() as patch:
+            _one_cell_off(patch, key, cell)
+            report = check()
+        assert report.status == "fail" and report.counterexamples, (key, cell)
+    for n in range(1, 6):
+        for c in range(n + 1):
+            for d in range(n + 1 - c):
+                strict = comb(n, c) * comb(n, d)
+                assert verify_theorem7(n, c, d).cases == strict
+                assert check_remark_symmetry(n, c, d).cases == strict
 
 
 def test_coefficient_table_csv():
