@@ -15,8 +15,6 @@ cell serves `asmlab coeff`.  The re-expansion check works in the power basis.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -70,17 +68,6 @@ class CoefficientTable:
         s, i = key
         return self.values[(tuple(s), tuple(i))]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        header = [f"s_{l}" for l in range(1, self.c + 1)] + [
-            f"i_{l}" for l in range(1, self.d + 1)
-        ] + ["value"]
-        writer.writerow(header)
-        for (s, i) in sorted(self.values):
-            writer.writerow(list(s) + list(i) + [str(self.values[(s, i)])])
-        return buf.getvalue()
-
 
 @lru_cache(maxsize=128)
 def _specialized_alpha(n: int, c: int, d: int) -> BinomialPoly:
@@ -117,32 +104,30 @@ def extract_coefficient(pair: IndexTuplePair) -> int:
 def coefficient_table(n: int, c: int, d: int) -> CoefficientTable:
     """All A(n; s; i) for (s, i) in [1,n]^c x [1,n]^d.
 
-    One basis change per differenced axis takes exponent e to difference
-    power m with weight Delta^m C(x, e) = C(x, e - m), or nabla^m C(x, e) =
-    C(x - m, e - m), at the anchored point; the other axes are pinned.
+    Variable c+1-j carries s_j and variable n-d+l carries i_l; the middle
+    variables are pinned.  One basis change per differenced axis takes
+    exponent e to the entry m + 1 with weight (-1)^m Delta^m C(x, e) =
+    (-1)^m C(x, e - m) on an s-axis, or nabla^m C(x, e) = C(x - m, e - m) on
+    an i-axis, at the anchored point.  A grid key is then (s reversed, 0..0, i).
     """
     if c < 0 or d < 0:
         raise ValueError("need c >= 0 and d >= 0")
     if c + d > n:
         raise ValueError("need c + d <= n")
     point = special_point(n, c, d)
-    axes = list(range(c)) + list(range(n - d, n))
     grid = _specialized_alpha(n, c, d).terms
-    for axis in axes:
+    for axis in [*range(c), *range(n - d, n)]:
         x = point[axis]
-        nabla = axis >= n - d
-        weights = [[binom(x - m if nabla else x, e - m) for m in range(n)] for e in range(n)]
-        grid = axis_transform(grid, axis, weights.__getitem__)
-    table = CoefficientTable(n, c, d)
-    for powers in product(range(n), repeat=c + d):
-        key = [0] * n
-        for axis, m in zip(axes, powers):
-            key[axis] = m
-        s = tuple(powers[c - j] + 1 for j in range(1, c + 1))  # s_j from var c+1-j
-        i = tuple(m + 1 for m in powers[c:])
-        sign = -1 if (sum(s) - c) % 2 else 1
-        table.values[(s, i)] = sign * grid.get(tuple(key), 0)
-    return table
+        if axis < c:
+            rows = [[0] + [(-1) ** m * binom(x, e - m) for m in range(n)] for e in range(n)]
+        else:
+            rows = [[0] + [binom(x - m, e - m) for m in range(n)] for e in range(n)]
+        grid = axis_transform(grid, axis, rows.__getitem__)
+    cells = range(1, n + 1)
+    values = dict.fromkeys(product(product(cells, repeat=c), product(cells, repeat=d)), 0)
+    for key, value in grid.items():
+        values[key[:c][::-1], key[n - d :]] = value
+    return CoefficientTable(n, c, d, values)
 
 
 def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
@@ -154,11 +139,14 @@ def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
     )
     # factors[axis][m]: the power-basis terms (power, coefficient * scale) of
     # the binomial that multiplies the coefficients with difference power m
-    # on that axis; scale clears every denominator, m! divides (n-1)!
+    # on that axis, times (-1)^m on an s-axis; scale clears every
+    # denominator, m! divides (n-1)!
     scale = factorial(n - 1)
     factors = []
-    for l in range(1, c + 1):  # C(k_l - c - 1, s_{c+1-l} - 1)
-        factors.append([_univariate(binomial_in_var(n, l, -c - 1, m), l, scale) for m in range(n)])
+    for l in range(1, c + 1):  # (-1)^(s_{c+1-l} - 1) C(k_l - c - 1, s_{c+1-l} - 1)
+        factors.append(
+            [_univariate(binomial_in_var(n, l, -c - 1, m), l, (-1) ** m * scale) for m in range(n)]
+        )
     for l in range(1, d + 1):  # C(k_{n-d+l} - n + d - 2 + i_l, i_l - 1)
         var = n - d + l
         factors.append(
@@ -169,11 +157,9 @@ def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
     for (s, i), value in table.values.items():
         if value == 0:
             continue
-        sign = -1 if (sum(s) + c) % 2 else 1
-        powers = [s[c - 1 - a] - 1 for a in range(c)] + [m - 1 for m in i]
-        for parts in product(*(factors[a][m] for a, m in enumerate(powers))):
+        for parts in product(*(factors[a][j - 1] for a, j in enumerate(s[::-1] + i))):
             key = [0] * n
-            coef = sign * value
+            coef = value
             for axis, (power, factor) in zip(axes, parts):
                 key[axis] = power
                 coef *= factor
@@ -288,22 +274,13 @@ def check_remark_symmetry(n: int, c: int, d: int) -> VerificationReport:
 
 
 def check_relation(n: int) -> VerificationReport:
-    """A(n; s_1, s_2; -) as an alternating sum of A(n; s_1; i), the two
-    sides read from the (n, 2, 0) and (n, 1, 1) tables."""
+    """A(n; s_1, s_2; -) as an alternating sum of A(n; s_1; i): the circuit
+    relation with (c, d, t) = (2, 0, 1), reading the (n, 2, 0) and (n, 1, 1)
+    tables."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    two_rows, one_each = coefficient_table(n, 2, 0), coefficient_table(n, 1, 1)
-    report = VerificationReport("two-row-from-doubly-refined", f"n={n}")
-    for s1 in range(1, n + 1):
-        for s2 in range(s1 + 1, n + 1):
-            lhs = two_rows[((s1, s2), ())]
-            rhs = sum(
-                (-1) ** ((n + i1) % 2)
-                * comb(2 * n - 2 - s2, i1 - s2)
-                * one_each[((s1,), (i1,))]
-                for i1 in range(s2, n + 1)
-            )
-            report.record({"s": (s1, s2)}, lhs, rhs)
+    report = check_circuit(n, 2, 0, 1)
+    report.identity, report.parameter_range = "two-row-from-doubly-refined", f"n={n}"
     return report
 
 
