@@ -136,62 +136,40 @@ def cmd_table(args) -> int:
 
 
 def _verify_cases(suite: str, n_max: int):
-    """Ordered (label, thunk) pairs; each thunk returns a VerificationReport."""
-    cases = []
+    """Ordered (label, check, args); check(*args) returns a VerificationReport."""
     if suite in ("theorem7", "all"):
         for n in range(1, n_max + 1):
             for c in range(0, n + 1):
                 for d in range(0, n - c + 1):
-                    cases.append(
-                        (
-                            f"theorem7 n={n} c={c} d={d}",
-                            lambda n=n, c=c, d=d: coefficients.verify_theorem7(n, c, d),
-                        )
-                    )
+                    yield f"theorem7 n={n} c={c} d={d}", coefficients.verify_theorem7, (n, c, d)
     if suite in ("identities", "all"):
         for n in range(1, n_max + 1):
-            cases.append((f"cyclic n={n}", lambda n=n: coefficients.check_cyclic(n)))
+            yield f"cyclic n={n}", coefficients.check_cyclic, (n,)
             for z in (-3, 1, 5):
-                cases.append(
-                    (
-                        f"reflection/translation n={n} z={z}",
-                        lambda n=n, z=z: coefficients.check_reflection_translation(n, z),
-                    )
-                )
+                yield f"reflection/translation n={n} z={z}", coefficients.check_reflection_translation, (n, z)
             for c in range(0, n + 1):
                 for d in range(0, n + 1 - c):
                     if 1 <= c + d <= 3:
                         for t in range(0, c + 1):
-                            cases.append(
-                                (
-                                    f"circuit n={n} c={c} d={d} t={t}",
-                                    lambda n=n, c=c, d=d, t=t: coefficients.check_circuit(n, c, d, t),
-                                )
-                            )
+                            yield f"circuit n={n} c={c} d={d} t={t}", coefficients.check_circuit, (n, c, d, t)
             for d in (1, 2):
                 if d <= n:
-                    cases.append((f"system n={n} d={d}", lambda n=n, d=d: coefficients.check_system(n, d)))
+                    yield f"system n={n} d={d}", coefficients.check_system, (n, d)
             for c in range(0, n + 1):
                 for d in range(0, n + 1 - c):
-                    cases.append(
-                        (
-                            f"symmetry n={n} c={c} d={d}",
-                            lambda n=n, c=c, d=d: coefficients.check_remark_symmetry(n, c, d),
-                        )
-                    )
+                    yield f"symmetry n={n} c={c} d={d}", coefficients.check_remark_symmetry, (n, c, d)
             if n >= 2:
-                cases.append((f"relation n={n}", lambda n=n: coefficients.check_relation(n)))
+                yield f"relation n={n}", coefficients.check_relation, (n,)
             if n >= 3:
-                cases.append((f"near-symmetry n={n}", lambda n=n: closed_forms.check_near_symmetry(n)))
-    return cases
+                yield f"near-symmetry n={n}", closed_forms.check_near_symmetry, (n,)
 
 
 def cmd_verify(args) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be positive; a check of zero cases is not a pass")
     failures = []
-    for label, thunk in _verify_cases(args.suite, args.n_max):
-        report = thunk()
+    for label, check, check_args in _verify_cases(args.suite, args.n_max):
+        report = check(*check_args)
         line = f"{label}: {report.status}"
         print(line)
         if not report.passed():

@@ -207,137 +207,72 @@ def refined_counts(n: int) -> RefinedCounts:
 # anchored partial monotone triangles (gamma)
 # ---------------------------------------------------------------------------
 
-_ABSENT = "absent"
-_FREE = "free"
-
-
-class _Cell:
-    __slots__ = ("status", "value", "ne_anchor", "se_anchor")
-
-    def __init__(self, status, value=None, ne_anchor=False, se_anchor=False):
-        self.status = status
-        self.value = value
-        self.ne_anchor = ne_anchor
-        self.se_anchor = se_anchor
-
-
-def _cell_table(spec: GammaSpec) -> dict[tuple[int, int], _Cell]:
-    """Status of every position (r, j), r-th row from the bottom, column j.
-
-    A cell removed by either truncated diagonal is absent; an anchor position
-    that falls on a removed cell of the other family is treated as absent as
-    well (its value constraint has no cell to live on).  A cell claimed as
-    anchor by both families admits no realization, so the count is zero.
-    """
-    n, k, s, it = spec.n, spec.k, spec.s, spec.i
-    c, d = len(s), len(it)
-    cells: dict[tuple[int, int], _Cell] = {}
-    for r in range(1, n + 1):
-        for j in range(r, n + 1):
-            ne_l = j - r + 1
-            ne_removed = ne_anchor = se_removed = se_anchor = False
-            ne_value = se_value = None
-            if ne_l <= c:
-                depth = s[c - ne_l]  # s_{c+1-l}
-                if r < depth:
-                    ne_removed = True
-                elif r == depth:
-                    ne_anchor, ne_value = True, k[ne_l - 1]
-            if j > n - d:
-                depth = it[j - (n - d) - 1]  # i_{j-n+d}
-                if r < depth:
-                    se_removed = True
-                elif r == depth:
-                    se_anchor, se_value = True, k[j - 1]
-            if ne_removed or se_removed:
-                cells[(r, j)] = _Cell(_ABSENT)
-                continue
-            if ne_anchor and se_anchor:
-                # both truncated diagonals claim this cell as their anchor;
-                # no partial triangle realizes that, the count is zero
-                cells[(r, j)] = _Cell("conflict")
-                continue
-            if ne_anchor or se_anchor:
-                cells[(r, j)] = _Cell(
-                    "fixed",
-                    ne_value if ne_anchor else se_value,
-                    ne_anchor=ne_anchor,
-                    se_anchor=se_anchor,
-                )
-            elif r == 1:
-                cells[(r, j)] = _Cell("fixed", k[j - 1])
-            else:
-                cells[(r, j)] = _Cell(_FREE)
-    return cells
-
 
 def gamma_count(spec: GammaSpec) -> int:
     """Number of anchored partial monotone triangles for the given arguments.
 
-    Row by row from the bottom: NE/SE (weak) and row (strict) constraints are
-    enforced between present cells, except that an NE anchor drops its
-    right-neighbour and below-cell constraints, an SE anchor drops its
+    The cell map holds every present cell (r, j), r-th row from the bottom and
+    column j, as cells[r, j] = (fixed value or None, ne_anchor, se_anchor).  The
+    NE diagonal l = j-r+1 <= c has depth s_{c+1-l} and the SE diagonal of
+    column j > n-d has depth i_{j-n+d}; a cell below either depth is absent,
+    a cell at a depth is that diagonal's anchor, and a cell anchoring both
+    admits no realization, so the count is zero.  An NE anchor holds k_l, an
+    SE anchor and the bottom row hold k_j, and every other cell is free.
+
+    The row DP goes up from the bottom, keyed on the tuple of values of one
+    row's present cells in column order.  NE/SE (weak) and row (strict)
+    constraints hold between present cells, except that an NE anchor drops
+    its right-neighbour and below constraints, an SE anchor drops its
     left-neighbour and below-left constraints, and the bottom row carries no
-    internal row constraints at all.
+    row constraints at all.
     """
-    n = spec.n
-    cells = _cell_table(spec)
-    if any(cell.status == "conflict" for cell in cells.values()):
-        return 0
+    n, k, s, it = spec.n, spec.k, spec.s, spec.i
+    c, d = len(s), len(it)
+    cells: dict[tuple[int, int], tuple[int | None, bool, bool]] = {}
+    for r in range(1, n + 1):
+        for j in range(r, n + 1):
+            l = j - r + 1
+            ne = s[c - l] if l <= c else 0
+            se = it[j - n + d - 1] if j > n - d else 0
+            if r < ne or r < se:
+                continue
+            if r == ne == se:
+                return 0
+            value = k[l - 1] if r == ne else k[j - 1] if r in (se, 1) else None
+            cells[r, j] = (value, r == ne, r == se)
 
-    def row_columns(r: int) -> list[int]:
-        return [j for j in range(r, n + 1) if cells[(r, j)].status != _ABSENT]
+    states: dict[tuple[int, ...], int] = {(): 1}
+    below: dict[int, int] = {}  # column -> position in the state of the row below
+    for r in range(1, n + 1):
+        cols = [j for j in range(r, n + 1) if (r, j) in cells]
 
-    def assignments(r: int, below: dict[int, int]) -> Iterator[dict[int, int]]:
-        """All consistent value maps {column: value} for row r, given the
-        values of the present cells of row r-1."""
-        cols = row_columns(r)
-
-        def rec(idx: int, chosen: dict[int, int]) -> Iterator[dict[int, int]]:
-            if idx == len(cols):
-                yield dict(chosen)
+        def fill(under: tuple[int, ...], chosen: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+            if len(chosen) == len(cols):
+                yield chosen
                 return
-            j = cols[idx]
-            cell = cells[(r, j)]
-            lo, hi = None, None
-            if not cell.se_anchor and (j - 1) in below:
-                lo = below[j - 1]
-            if r > 1 and (j - 1) in chosen:
-                left = cells[(r, j - 1)]
-                if not left.ne_anchor and not cell.se_anchor:
-                    lo = max(lo, chosen[j - 1] + 1) if lo is not None else chosen[j - 1] + 1
-            if not cell.ne_anchor and j in below:
-                hi = below[j]
-            if cell.status == "fixed":
-                v = cell.value
-                if (lo is None or v >= lo) and (hi is None or v <= hi):
-                    chosen[j] = v
-                    yield from rec(idx + 1, chosen)
-                    del chosen[j]
+            j = cols[len(chosen)]
+            value, ne_anchor, se_anchor = cells[r, j]
+            lo = hi = None
+            if not se_anchor and j - 1 in below:
+                lo = under[below[j - 1]]
+            if r > 1 and (r, j - 1) in cells and not cells[r, j - 1][1] and not se_anchor:
+                lo = chosen[-1] + 1 if lo is None else max(lo, chosen[-1] + 1)
+            if not ne_anchor and j in below:
+                hi = under[below[j]]
+            if value is not None:
+                if (lo is None or value >= lo) and (hi is None or value <= hi):
+                    yield from fill(under, chosen + (value,))
                 return
             if lo is None or hi is None:
                 raise ValueError("free cell without finite bounds; inconsistent truncation")
             for v in range(lo, hi + 1):
-                chosen[j] = v
-                yield from rec(idx + 1, chosen)
-                del chosen[j]
+                yield from fill(under, chosen + (v,))
 
-        yield from rec(0, {})
-
-    states: dict[tuple[tuple[int, int], ...], int] = {}
-    for state in assignments(1, {}):
-        key = tuple(sorted(state.items()))
-        states[key] = states.get(key, 0) + 1
-    for r in range(2, n + 1):
-        nxt: dict[tuple[tuple[int, int], ...], int] = {}
-        for key, ways in states.items():
-            below = dict(key)
-            for state in assignments(r, below):
-                new_key = tuple(sorted(state.items()))
-                nxt[new_key] = nxt.get(new_key, 0) + ways
-        states = nxt
-        if not states:
-            return 0
+        nxt: dict[tuple[int, ...], int] = {}
+        for under, ways in states.items():
+            for row in fill(under):
+                nxt[row] = nxt.get(row, 0) + ways
+        states, below = nxt, {j: p for p, j in enumerate(cols)}
     return sum(states.values())
 
 

@@ -293,6 +293,8 @@ def partial_asm_to_trapezoid(matrix: PartialAsm, bottom: Sequence[int]) -> Monot
     bottom = tuple(int(x) for x in bottom)
     if any(b >= a for a, b in zip(bottom[1:], bottom)):
         raise ValueError("bottom row must be strictly increasing")
+    if matrix.t >= len(bottom):
+        raise ValueError(f"a partial ASM of {matrix.t} rows needs a bottom row longer than {matrix.t}")
     n = matrix.n
     ind = _indicator(bottom, n)
     rows_bottom_up = [bottom]

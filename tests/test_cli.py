@@ -262,6 +262,14 @@ def test_convert_zero_width_is_usage_error(tmp_path):
     assert "--n must be positive" in err and out == ""
 
 
+def test_convert_to_empty_top_row_is_usage_error(tmp_path):
+    path = tmp_path / "pasm.json"
+    path.write_text(json.dumps({"kind": "partial_asm", "n": 2, "rows": [[1, 0], [0, 1]]}))
+    code, out, err = run_process("convert", "--in", str(path), "--to", "trapezoid", "--bottom", "1,2")
+    assert_usage_error(code, err)
+    assert out == "" and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("which", ["a_nij", "b_nij"])
 def test_table_rows_over_jobs_are_byte_identical(which):
     code_s, serial, _ = run_process("table", "--which", which, "--n", "30")

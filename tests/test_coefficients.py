@@ -1,7 +1,7 @@
 """Coefficient extraction, tables, and polynomial identities."""
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -241,3 +241,17 @@ def test_gamma_formula_random_weakly_increasing():
         spec = _random_gamma_spec(rng, n)
         assert gamma_count(spec) == gamma_formula_value(spec), spec
         checked += 1
+    # every in-domain spec with n <= 3 and k weakly increasing in 1..n+2
+    checked = 0
+    for n in range(1, 4):
+        for c in range(n + 1):
+            for d in range(n - c + 1):
+                for s in combinations_with_replacement(range(1, n + 1), c):
+                    for i in combinations_with_replacement(range(1, n + 1), d):
+                        if not _gamma_domain_ok(n, s, i):
+                            continue
+                        for k in combinations_with_replacement(range(1, n + 3), n):
+                            spec = GammaSpec(n, k, s, i)
+                            assert gamma_count(spec) == gamma_formula_value(spec), spec
+                            checked += 1
+    assert checked == 2054

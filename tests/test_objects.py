@@ -87,6 +87,9 @@ def test_trapezoid_partial_asm_roundtrip():
     assert pasm.t == trap.m - trap.d
     back = partial_asm_to_trapezoid(pasm, (1, 3, 4, 6))
     assert back.rows == trap.rows and (back.d, back.m) == (trap.d, trap.m)
+    # as many rows as bottom entries would leave an empty top row (d = 0)
+    with pytest.raises(ValueError):
+        partial_asm_to_trapezoid(PartialAsm(2, [(1, 0), (0, 1)]), (1, 2))
 
 
 def test_partial_asm_example():
