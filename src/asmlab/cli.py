@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import closed_forms, coefficients, enumeration, objects
 from .enumeration import EXHAUSTIVE_FAMILY_CAP, SINGLE_COUNT_CAP, BottomRowSpec
@@ -97,34 +96,22 @@ def cmd_coeff(args) -> int:
     return 0
 
 
-def _grid_row(which, n, i):
-    """Values of row i of a two-index table, j = 1..n."""
-    fn = closed_forms.stroganov_b if which == "b_nij" else closed_forms.a_nij
-    return [fn(n, i, j) for j in range(1, n + 1)]
-
-
-def _grid_rows(which, n, jobs):
-    """CSV rows (lists of strings) for one table kind.  With jobs > 1 the
-    rows i of a two-index table go to a process pool, each worker building
-    its own per-n tables; the output order does not change."""
+def _grid_rows(which, n):
+    """CSV rows (lists of strings) for one table kind."""
     if which == "asm_total":
         return [[str(m), decimal(closed_forms.asm_total(m))] for m in range(1, n + 1)]
     if which == "a_nk":
         return [[str(k), decimal(closed_forms.a_nk(n, k))] for k in range(1, n + 1)]
-    indices = range(1, n + 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(_grid_row, [which] * n, [n] * n, indices))
-    else:
-        values = [_grid_row(which, n, i) for i in indices]
-    return [[str(i), str(j), decimal(v)] for i, row in zip(indices, values) for j, v in enumerate(row, 1)]
+    fn = closed_forms.stroganov_b if which == "b_nij" else closed_forms.a_nij
+    cells = range(1, n + 1)
+    return [[str(i), str(j), decimal(fn(n, i, j))] for i in cells for j in cells]
 
 
 def cmd_table(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be positive")
     try:
-        rows = _grid_rows(args.which, args.n, args.jobs)
+        rows = _grid_rows(args.which, args.n)
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "csv":
@@ -185,7 +172,7 @@ def _load_object(path: str):
     try:
         with open(path) as handle:
             return objects.from_json_obj(json.load(handle))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read object from {path}: {exc}")
 
 
@@ -242,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact enumeration and verification of refined alternating-sign-matrix counts.",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress/warnings on stderr")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for table rows")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted (N >= 1); runs in one process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count triangles or trapezoids")

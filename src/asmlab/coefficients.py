@@ -137,47 +137,30 @@ def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
     report = VerificationReport(
         "expansion-reconstruction", f"n={n}, c={c}, d={d}"
     )
-    # factors[axis][m]: the power-basis terms (power, coefficient * scale) of
-    # the binomial that multiplies the coefficients with difference power m
-    # on that axis, times (-1)^m on an s-axis; scale clears every
-    # denominator, m! divides (n-1)!
+    # scale clears every denominator: m! divides (n-1)!
     scale = factorial(n - 1)
-    factors = []
-    for l in range(1, c + 1):  # (-1)^(s_{c+1-l} - 1) C(k_l - c - 1, s_{c+1-l} - 1)
-        factors.append(
-            [_univariate(binomial_in_var(n, l, -c - 1, m), l, (-1) ** m * scale) for m in range(n)]
-        )
-    for l in range(1, d + 1):  # C(k_{n-d+l} - n + d - 2 + i_l, i_l - 1)
-        var = n - d + l
-        factors.append(
-            [_univariate(binomial_in_var(n, var, -n + d - 1 + m, m), var, scale) for m in range(n)]
-        )
-    axes = list(range(c)) + list(range(n - d, n))
-    scaled: dict[tuple[int, ...], int] = {}
-    for (s, i), value in table.values.items():
-        if value == 0:
-            continue
-        for parts in product(*(factors[a][j - 1] for a, j in enumerate(s[::-1] + i))):
-            key = [0] * n
-            coef = value
-            for axis, (power, factor) in zip(axes, parts):
-                key[axis] = power
-                coef *= factor
-            key = tuple(key)
-            scaled[key] = scaled.get(key, 0) + coef
+
+    def power_row(var: int, offset: int, m: int, sign: int) -> list[int]:
+        """Power-basis coefficients of sign^m C(k_var + offset, m), times scale."""
+        row = [0] * (m + 1)
+        for exps, coef in binomial_in_var(n, var, offset, m).terms.items():
+            row[exps[var - 1]] = (sign**m * scale * coef).numerator
+        return row
+
+    # entry j on a differenced axis is the difference power m = j - 1; the
+    # pinned middle variables keep exponent 0
+    middle = (0,) * (n - c - d)
+    grid = {s[::-1] + middle + i: value for (s, i), value in table.values.items() if value}
+    for axis in range(c):  # (-1)^m C(k_l - c - 1, m) with l = axis + 1, m = s_{c+1-l} - 1
+        grid = axis_transform(grid, axis, lambda j: power_row(axis + 1, -c - 1, j - 1, -1))
+    for axis in range(n - d, n):  # C(k_{axis+1} - n + d - 1 + m, m) with m = i_l - 1, l = axis - n + d + 1
+        grid = axis_transform(grid, axis, lambda j: power_row(axis + 1, j - n + d - 2, j - 1, 1))
     denominator = scale ** (c + d)
-    terms = {e: Fraction(v, denominator) for e, v in scaled.items()}
-    total = MultiPoly(n, terms).terms
+    total = MultiPoly(n, {key: Fraction(v, denominator) for key, v in grid.items()}).terms
     target = _specialized_alpha(n, c, d).to_multipoly().terms
     for exps in sorted(target.keys() | total.keys()):
         report.record(f"term {exps}", target.get(exps, 0), total.get(exps, 0))
     return report
-
-
-def _univariate(poly: MultiPoly, var: int, scale: int) -> list[tuple[int, int]]:
-    """(power of k_var, coefficient * scale) for a polynomial in k_var alone;
-    scale must clear the denominators."""
-    return [(exps[var - 1], (coef * scale).numerator) for exps, coef in poly.terms.items()]
 
 
 def verify_theorem7(n: int, c: int, d: int) -> VerificationReport:

@@ -420,7 +420,7 @@ def from_json_obj(obj: dict):
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown object kind {kind!r}")
     return _KINDS[kind](obj)
 

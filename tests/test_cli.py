@@ -85,6 +85,34 @@ def test_table_jobs_matches_serial(capsys):
     assert serial == parallel
 
 
+def test_table_jobs_starts_no_process(capsys, monkeypatch):
+    import multiprocessing.process
+
+    def refuse(*args):
+        raise AssertionError("asmlab table started a process")
+
+    _, serial, _ = run(capsys, "table", "--which", "a_nij", "--n", "5")
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    code, out, err = run(capsys, "--jobs", "4", "table", "--which", "a_nij", "--n", "5")
+    assert code == 0, err
+    assert out == serial
+
+
+def test_cli_import_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(asmlab.__file__)))
+    code = "import sys, asmlab.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--n-max", "3")
     assert code == 0
@@ -216,6 +244,18 @@ def test_non_object_json_is_usage_error(tmp_path):
     for argv in (("transform", "--op", "ad"), ("convert", "--to", "asm")):
         code, _, err = run_process(*argv, "--in", str(path))
         assert_usage_error(code, err)
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path):
+    # deeper than the JSON decoder's recursion limit
+    deep_list = tmp_path / "deep_list.json"
+    deep_list.write_text("[" * 100_000 + "]" * 100_000)
+    deep_rows = tmp_path / "deep_rows.json"
+    deep_rows.write_text('{"kind": "asm", "rows": ' + "[" * 5_000 + "]" * 5_000 + "}")
+    for path, argv in ((deep_list, ("transform", "--op", "ad")), (deep_rows, ("convert", "--to", "asm"))):
+        code, out, err = run_process(*argv, "--in", str(path))
+        assert_usage_error(code, err)
+        assert out == "" and len(err.splitlines()) == 1
 
 
 def test_verify_zero_cases_is_usage_error():

@@ -64,7 +64,7 @@ def test_doubly_refined_boundary_row():
         assert stroganov_b(n, 1, 1) == 0 if n > 1 else True
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 14))
 def test_two_row_closed_form_matches_counts(n):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

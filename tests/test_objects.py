@@ -182,6 +182,8 @@ def test_json_rejects_unknown_kind():
         {"kind": "partial_asm", "n": "4", "rows": [[0, 1, 0, 0]]},
         {"kind": "monotone_trapezoid", "d": None, "m": 2, "rows_bottom_up": [[1, 2]]},
         {"kind": "monotone_trapezoid", "d": 1, "m": 2, "rows_bottom_up": [[1, 2]], "ambient_n": [3]},
+        {"kind": []},
+        {"kind": {"asm": 1}},
     ],
 )
 def test_json_rejects_malformed_fields(obj):
