@@ -24,26 +24,19 @@ TERM_CAPS = st.sampled_from([None, "", "abc", "0", "-5", "1.5", " 7", "40", "200
 FUZZ = settings(max_examples=100, deadline=None)
 
 
-def exit_code(argv, term_cap=None):
-    """(exit code, stderr) of one in-process CLI call."""
-    env = {k: v for k, v in os.environ.items() if k != "ASMLAB_TERM_CAP"}
-    if term_cap is not None:
-        env["ASMLAB_TERM_CAP"] = term_cap
+def assert_contract(argv, term_cap=None):
+    """One in-process CLI call exits 0, 1 or 2 and prints no traceback."""
     err = io.StringIO()
-    with mock.patch.dict(os.environ, env, clear=True), contextlib.redirect_stdout(
-        io.StringIO()
-    ), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        os.environ.pop("ASMLAB_TERM_CAP", None)
+        if term_cap is not None:
+            os.environ["ASMLAB_TERM_CAP"] = term_cap
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
-
-
-def assert_contract(argv, term_cap=None):
-    code, err = exit_code(argv, term_cap)
-    assert code in (0, 1, 2), (argv, term_cap, code, err)
-    assert "Traceback" not in err
+    assert code in (0, 1, 2), (argv, term_cap, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def option(draw, flag, values):
