@@ -11,14 +11,16 @@ formula that stops being integral fails loudly instead of rounding.
 Each object is computed once per order n, in a bounded per-n memo: A_n, one
 step up from the largest order known; the row a_nk(n, 1..n); the n x n table
 of Stroganov's B(n; i, j), from one O(n^2) pass of prefix sums along each
-diagonal j - i.  `a_nij` reads the B table; `a_nij_direct` is its own double
-sum over a_nk and never touches the B table, so it stays a cross-check.
+diagonal j - i; and the signed binomial weights of `a_nij`, one row per j.
+`a_nij` reads the B table; `a_nij_direct` is its own double sum over a_nk and
+never touches the B table, so it stays a cross-check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 from .reports import VerificationReport, decimal
 
@@ -123,15 +125,21 @@ def stroganov_b(n: int, i: int, j: int) -> int:
     return _b_table(n)[i - 1][j - 1]
 
 
+@lru_cache(maxsize=64)
+def _a_weights(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row j - 1: the signed weights (-1)^(n+k) C(2n-2-j, k-j) for k = j..n,
+    which do not depend on i."""
+    return tuple(
+        tuple((-1) ** ((n + k) % 2) * comb(2 * n - 2 - j, k - j) for k in range(j, n + 1))
+        for j in range(1, n + 1)
+    )
+
+
 def a_nij(n: int, i: int, j: int) -> int:
     """Triangles missing i and j from the bottom row (i < j); defined for all
     index pairs through the alternating sum over Stroganov's numbers."""
     _check_pair(n, i, j)
-    b_row = _b_table(n)[i - 1]
-    return sum(
-        (-1) ** ((n + k) % 2) * comb(2 * n - 2 - j, k - j) * b_row[k - 1]
-        for k in range(j, n + 1)
-    )
+    return sum(map(mul, _a_weights(n)[j - 1], _b_table(n)[i - 1][j - 1 :]))
 
 
 def a_nij_direct(n: int, i: int, j: int) -> int:

@@ -89,40 +89,44 @@ def _coerce_spec(spec) -> BottomRowSpec:
     return BottomRowSpec(spec)
 
 
-def _successor_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _extend(prefixes: list[tuple[int, ...]], bounds) -> list[tuple[int, ...]]:
+    """Each prefix extended by one entry v per (lo, hi) in `bounds`, with
+    lo <= v <= hi and every entry above the one before it; lexicographic
+    when the prefixes are."""
+    for lo, hi in bounds:
+        prefixes = [p + (v,) for p in prefixes for v in range(max(lo, p[-1] + 1), hi + 1)]
+    return prefixes
+
+
+def _successor_rows(row: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Strictly increasing rows l with row[j] <= l[j] <= row[j+1], in
-    lexicographic order."""
-
-    def rec(j: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if j == len(row) - 1:
-            yield prefix
-            return
-        lo = max(row[j], prefix[-1] + 1) if prefix else row[j]
-        for v in range(lo, row[j + 1] + 1):
-            yield from rec(j + 1, prefix + (v,))
-
-    yield from rec(0, ())
-
-
-def _translated(row: tuple[int, ...]) -> tuple[int, ...]:
-    """The row moved to start at 0; the triangles over a row and over its
-    translate correspond one to one."""
-    return tuple(x - row[0] for x in row)
+    lexicographic order, built one entry at a time."""
+    if len(row) == 1:
+        return [()]
+    return _extend([(v,) for v in range(row[0], row[1] + 1)], zip(row[1:], row[2:]))
 
 
 @lru_cache(maxsize=65536)
 def _count_over_row(row: tuple[int, ...]) -> int:
-    """Number of triangles over `row`, which must start at 0."""
+    """Number of triangles over `row`, which must start at 0.  The triangles
+    over a row and over its translate correspond one to one, so each
+    successor is built already moved to start at 0: the successors with
+    first entry v as the rows over (0,) bounded by row[1:] - v."""
     if len(row) == 1:
         return 1
-    return sum(_count_over_row(_translated(nxt)) for nxt in _successor_rows(row))
+    bounds = list(zip(row[1:], row[2:]))
+    return sum(
+        sum(map(_count_over_row, _extend([(0,)], [(lo - v, hi - v) for lo, hi in bounds])))
+        for v in range(row[0], row[1] + 1)
+    )
 
 
 def count_triangles(spec) -> int:
     """Exact number of (extended, if weak_bottom) monotone triangles with the
     given bottom row."""
     spec = _coerce_spec(spec)
-    return _count_over_row(_translated(spec.entries))
+    entries = spec.entries
+    return _count_over_row(tuple(x - entries[0] for x in entries))
 
 
 def enumerate_triangles(spec) -> Iterator[MonotoneTriangle]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
+from operator import add, ne
 from typing import Sequence
 
 
@@ -26,7 +28,7 @@ class Verdict:
 
 
 def _freeze_rows(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple([tuple(map(int, row)) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,11 @@ class MonotoneTriangle:
 
     def se_diagonal(self, l: int) -> tuple[int, ...]:
         """The l-th SE-diagonal (a_{l,l}, a_{l-1,l}, ..., a_{1,l})."""
-        return tuple(self.entry(r, l) for r in range(l, 0, -1))
+        return tuple(self.rows[r - 1][l - r] for r in range(l, 0, -1))
 
     def ne_diagonal(self, l: int) -> tuple[int, ...]:
         """The l-th NE-diagonal (a_{1,l}, a_{2,l+1}, ..., a_{n-l+1,n})."""
-        return tuple(self.entry(r, l + r - 1) for r in range(1, self.n - l + 2))
+        return tuple(row[l - 1] for row in self.rows[: self.n - l + 1])
 
     def to_json_obj(self) -> dict:
         return {
@@ -137,6 +139,8 @@ class PartialAsm:
 # validation
 # ---------------------------------------------------------------------------
 
+_ASM_PREFIXES = frozenset((0, 1))
+
 
 def _validate_interlacing_rows(rows) -> Verdict:
     for r, row in enumerate(rows, start=1):
@@ -156,6 +160,9 @@ def _validate_interlacing_rows(rows) -> Verdict:
 
 
 def _validate_asm_row(row) -> str | None:
+    # prefix sums in {0, 1} make every entry a difference in {-1, 0, 1}
+    if _ASM_PREFIXES.issuperset(accumulate(row)) and sum(row) == 1:
+        return None
     prefix = 0
     for x in row:
         if x not in (-1, 0, 1):
@@ -198,11 +205,10 @@ def validate(obj) -> Verdict:
             problem = _validate_asm_row(row)
             if problem:
                 return Verdict(False, f"row {i}: {problem}")
-        for j in range(n):
-            col = [obj.entries[i][j] for i in range(n)]
+        for j, col in enumerate(zip(*obj.entries), start=1):
             problem = _validate_asm_row(col)
             if problem:
-                return Verdict(False, f"column {j + 1}: {problem}")
+                return Verdict(False, f"column {j}: {problem}")
         return Verdict(True)
     if isinstance(obj, PartialAsm):
         for i, row in enumerate(obj.entries, start=1):
@@ -211,13 +217,12 @@ def validate(obj) -> Verdict:
             problem = _validate_asm_row(row)
             if problem:
                 return Verdict(False, f"row {i}: {problem}")
-        for j in range(obj.n):
-            signs = [obj.entries[i][j] for i in range(obj.t) if obj.entries[i][j] != 0]
-            for a, b in zip(signs, signs[1:]):
-                if a == b:
-                    return Verdict(False, f"column {j + 1}: nonzero entries do not alternate")
+        for j, col in enumerate(zip(*obj.entries), start=1):
+            signs = [x for x in col if x]
+            if not all(map(ne, signs, signs[1:])):
+                return Verdict(False, f"column {j}: nonzero entries do not alternate")
             if signs and signs[0] == -1 and sum(signs) not in (-1, 0):
-                return Verdict(False, f"column {j + 1}: inconsistent alternation")
+                return Verdict(False, f"column {j}: inconsistent alternation")
         return Verdict(True)
     raise TypeError(f"cannot validate {type(obj).__name__}")
 
@@ -246,11 +251,15 @@ def triangle_to_asm(triangle: MonotoneTriangle) -> Asm:
         raise ValueError("triangle is not complete")
     n = triangle.n
     rows = []
-    prev = [0] * n
-    for r in range(n, 0, -1):
-        ind = _indicator(triangle.rows[r - 1], n)
-        rows.append([a - b for a, b in zip(ind, prev)])
-        prev = ind
+    upper: tuple[int, ...] = ()
+    for lower in reversed(triangle.rows):
+        row = [0] * n
+        for x in lower:
+            row[x - 1] = 1
+        for x in upper:
+            row[x - 1] -= 1
+        rows.append(row)
+        upper = lower
     return Asm(rows)
 
 
@@ -260,14 +269,12 @@ def asm_to_triangle(matrix: Asm) -> MonotoneTriangle:
     verdict = validate(matrix)
     if not verdict:
         raise ValueError(f"invalid alternating sign matrix: {verdict.reason}")
-    n = matrix.n
-    sums = [0] * n
-    partial = []
-    for row in matrix.entries:
-        sums = [a + b for a, b in zip(sums, row)]
-        partial.append(tuple(j + 1 for j, v in enumerate(sums) if v))
-    rows = [partial[n - r] for r in range(1, n + 1)]
-    return MonotoneTriangle(rows)
+    columns = range(1, matrix.n + 1)
+    partial = [
+        tuple(compress(columns, sums))
+        for sums in accumulate(matrix.entries, lambda a, b: tuple(map(add, a, b)))
+    ]
+    return MonotoneTriangle(partial[::-1])
 
 
 def trapezoid_to_partial_asm(trapezoid: MonotoneTrapezoid, n: int) -> PartialAsm:
@@ -358,22 +365,21 @@ def reflect_horizontal(triangle: MonotoneTriangle) -> MonotoneTriangle:
 
 
 # matrix-level counterparts, used to check that the triangle maps conjugate
-# correctly through the standard bijection
+# correctly through the standard bijection; they read square matrices
 
 
 def asm_reflect_antidiagonal(matrix: Asm) -> Asm:
-    n = matrix.n
-    return Asm([[matrix.entries[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)])
+    # row i is column n-1-i read from the bottom up
+    return Asm(list(zip(*reversed(matrix.entries)))[::-1])
 
 
 def asm_rotate_90(matrix: Asm) -> Asm:
-    n = matrix.n
-    return Asm([[matrix.entries[n - 1 - j][i] for j in range(n)] for i in range(n)])
+    # row i is column i read from the bottom up
+    return Asm(list(zip(*reversed(matrix.entries))))
 
 
 def asm_reflect_horizontal(matrix: Asm) -> Asm:
-    n = matrix.n
-    return Asm([matrix.entries[n - 1 - i] for i in range(n)])
+    return Asm(matrix.entries[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Brute-force counting oracles."""
 
 import re
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +16,10 @@ from asmlab import (
     special_point,
     validate,
 )
+from asmlab.enumeration import _successor_rows
+
+# every strictly increasing row with entries in 0..7 and at most five entries
+SMALL_ROWS = [row for length in range(1, 6) for row in combinations(range(8), length)]
 
 # number of complete triangles of order n = number of n x n alternating sign
 # matrices, n = 1..7
@@ -197,3 +202,20 @@ def test_trapezoid_count_rejects_nonpositive_order():
     for n in (0, -3):
         with pytest.raises(ValueError, match="n must be positive"):
             count_trapezoids(n, (), ())
+
+
+@pytest.mark.parametrize("length", range(1, 6))
+def test_successor_rows_are_the_interlacing_rows_in_order(length):
+    for row in (r for r in SMALL_ROWS if len(r) == length):
+        ranges = [range(row[j], row[j + 1] + 1) for j in range(length - 1)]
+        expected = [l for l in product(*ranges) if all(a < b for a, b in zip(l, l[1:]))]
+        assert list(_successor_rows(row)) == expected, row
+
+
+def test_count_equals_enumeration_over_small_rows():
+    weak = [(1, 1, 2), (0, 2, 2, 5), (1, 1, 3, 3), (2, 3, 3, 4, 6)]
+    for row in SMALL_ROWS:
+        assert count_triangles(row) == sum(1 for _ in enumerate_triangles(row)), row
+    for row in weak:
+        spec = BottomRowSpec(row, weak_bottom=True)
+        assert count_triangles(spec) == sum(1 for _ in enumerate_triangles(spec)), row

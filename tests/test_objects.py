@@ -137,7 +137,7 @@ def test_antidiagonal_is_horizontal_after_rotation():
         assert reflect_antidiagonal(tri) == reflect_horizontal(rotate_90(tri))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_symmetry_maps_conjugate_matrix_maps(n):
     for tri in enumerate_triangles(tuple(range(1, n + 1))):
         m = triangle_to_asm(tri)
@@ -189,3 +189,52 @@ def test_json_rejects_unknown_kind():
 def test_json_rejects_malformed_fields(obj):
     with pytest.raises(ValueError):
         objects.from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, reason",
+    [
+        (MonotoneTriangle([]), "triangle has no rows"),
+        (MonotoneTriangle([(1, 2, 3), (1,), (1,)]), "row 2 has length 1, expected 2"),
+        (MonotoneTriangle([(1, 3, 2), (1, 3), (2,)]), "row 1 not strictly increasing at position 2"),
+        (
+            MonotoneTriangle([(2, 3, 4), (1, 3), (2,)]),
+            "interlacing violated between rows 1,2 at position 1 (lower bound)",
+        ),
+        (
+            MonotoneTriangle([(1, 2, 3), (1, 3), (4,)]),
+            "interlacing violated between rows 2,3 at position 1 (upper bound)",
+        ),
+        # upper-bound breaks at positions 1 and 3: the first one is named
+        (
+            MonotoneTriangle([(1, 2, 5, 6), (3, 4, 7), (3, 4), (4,)]),
+            "interlacing violated between rows 1,2 at position 1 (upper bound)",
+        ),
+        (MonotoneTrapezoid(0, 3, [(1, 2, 3)]), "need 1 <= d <= m, got d=0, m=3"),
+        (MonotoneTrapezoid(4, 3, [(1, 2, 3)]), "need 1 <= d <= m, got d=4, m=3"),
+        (MonotoneTrapezoid(2, 4, [(1, 2, 3, 4)]), "expected 3 rows, got 1"),
+        (MonotoneTrapezoid(2, 4, [(1, 2, 3, 4), (1, 2), (1, 2)]), "row 2 has length 2, expected 3"),
+        (
+            MonotoneTrapezoid(2, 3, [(1, 2, 4), (3, 4)]),
+            "interlacing violated between rows 1,2 at position 1 (upper bound)",
+        ),
+        (Asm([]), "matrix is empty"),
+        (Asm([[1, 0], [0]]), "row 2 has length 1, expected 2"),
+        (Asm([[0, 2, -1], [1, 0, 0], [0, 0, 1]]), "row 1: entry 2 not in {-1,0,1}"),
+        # the prefix sum leaves {0,1} before the bad entry is reached
+        (Asm([[1, 1, 5], [1, 0, 0], [0, 0, 1]]), "row 1: prefix sum 2 outside {0,1}"),
+        (Asm([[0, 1, 0], [0, -1, 1], [1, 0, 0]]), "row 2: prefix sum -1 outside {0,1}"),
+        (Asm([[0, 1, 0], [0, 0, 0], [1, 0, 0]]), "row 2: row sum 0 != 1"),
+        (Asm([[1, 0], [1, 0]]), "column 1: prefix sum 2 outside {0,1}"),
+        (Asm([[0, 1], [0, 1]]), "column 1: row sum 0 != 1"),
+        (Asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]]), None),
+        (PartialAsm(3, [(0, 1, 0), (1, 0)]), "row 2 has length 2, expected 3"),
+        (PartialAsm(3, [(0, 1, 0), (1, 0, 1)]), "row 2: prefix sum 2 outside {0,1}"),
+        (PartialAsm(2, [(1, 0), (1, 0)]), "column 1: nonzero entries do not alternate"),
+        (PartialAsm(3, [(0, 1, 0), (1, -1, 1)]), None),
+    ],
+)
+def test_validate_names_the_first_violation(obj, reason):
+    verdict = validate(obj)
+    assert verdict.ok == (reason is None)
+    assert verdict.reason == reason
