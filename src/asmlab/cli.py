@@ -168,18 +168,21 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _load_object(path: str):
+def _load_object(args, kind: str):
+    """The object in the file of `--in`; a usage error unless it is of `kind`."""
     try:
-        with open(path) as handle:
-            return objects.from_json_obj(json.load(handle))
+        with open(args.infile) as handle:
+            value = json.load(handle)
+        obj = objects.from_json_obj(value)
     except (OSError, ValueError, RecursionError) as exc:
-        raise UsageError(f"cannot read object from {path}: {exc}")
+        raise UsageError(f"cannot read object from {args.infile}: {exc}")
+    if value["kind"] != kind:
+        raise UsageError(f"{args.command} expects a {kind} object")
+    return obj
 
 
 def cmd_transform(args) -> int:
-    obj = _load_object(args.infile)
-    if not isinstance(obj, objects.MonotoneTriangle):
-        raise UsageError("transform expects a monotone_triangle object")
+    obj = _load_object(args, "monotone_triangle")
     ops = {
         "ad": objects.reflect_antidiagonal,
         "rot90": objects.rotate_90,
@@ -194,13 +197,13 @@ def cmd_transform(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    obj = _load_object(args.infile)
     try:
         if args.to == "asm":
-            result = objects.triangle_to_asm(obj)
+            result = objects.triangle_to_asm(_load_object(args, "monotone_triangle"))
         elif args.to == "triangle":
-            result = objects.asm_to_triangle(obj)
+            result = objects.asm_to_triangle(_load_object(args, "asm"))
         elif args.to == "partial_asm":
+            obj = _load_object(args, "monotone_trapezoid")
             n = obj.ambient_n if args.n is None else args.n
             if n is None:
                 raise UsageError("converting a trapezoid requires --n (ambient width)")
@@ -208,11 +211,12 @@ def cmd_convert(args) -> int:
                 raise UsageError("--n must be positive")
             result = objects.trapezoid_to_partial_asm(obj, n)
         else:  # trapezoid
+            obj = _load_object(args, "partial_asm")
             bottom = _int_list(args.bottom or "")
             if not bottom:
                 raise UsageError("converting a partial ASM requires --bottom")
             result = objects.partial_asm_to_trapezoid(obj, bottom)
-    except (ValueError, AttributeError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
     print(objects.dumps(result))
     return 0

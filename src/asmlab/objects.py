@@ -12,7 +12,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
-from operator import add, ne
+from operator import ne, sub
 from typing import Sequence
 
 
@@ -139,18 +139,21 @@ class PartialAsm:
 # validation
 # ---------------------------------------------------------------------------
 
-_ASM_PREFIXES = frozenset((0, 1))
+_ZERO_ONE = frozenset((0, 1))
 
 
-def _validate_interlacing_rows(rows) -> Verdict:
+def _validate_interlacing_rows(rows, m) -> Verdict:
+    """Bottom-up rows of lengths m, m-1, ..., each strictly increasing and
+    interlacing the row below it."""
+    for r, row in enumerate(rows, start=1):
+        if len(row) != m - r + 1:
+            return Verdict(False, f"row {r} has length {len(row)}, expected {m - r + 1}")
     for r, row in enumerate(rows, start=1):
         for t in range(len(row) - 1):
             if not row[t] < row[t + 1]:
                 return Verdict(False, f"row {r} not strictly increasing at position {t + 1}")
     for r in range(len(rows) - 1):
         low, high = rows[r], rows[r + 1]
-        if len(high) != len(low) - 1:
-            return Verdict(False, f"row {r + 2} has length {len(high)}, expected {len(low) - 1}")
         for t in range(len(high)):
             if not low[t] <= high[t]:
                 return Verdict(False, f"interlacing violated between rows {r + 1},{r + 2} at position {t + 1} (lower bound)")
@@ -159,70 +162,53 @@ def _validate_interlacing_rows(rows) -> Verdict:
     return Verdict(True)
 
 
-def _validate_asm_row(row) -> str | None:
-    # prefix sums in {0, 1} make every entry a difference in {-1, 0, 1}
-    if _ASM_PREFIXES.issuperset(accumulate(row)) and sum(row) == 1:
-        return None
-    prefix = 0
-    for x in row:
-        if x not in (-1, 0, 1):
-            return f"entry {x} not in {{-1,0,1}}"
-        prefix += x
-        if prefix not in (0, 1):
-            return f"prefix sum {prefix} outside {{0,1}}"
-    if prefix != 1:
-        return f"row sum {prefix} != 1"
+def _first_bad_line(lines, name: str, n: int) -> str | None:
+    """The first of `lines` (rows or columns, called `name`) that is not an
+    ASM row of length n: entries in {-1, 0, 1}, prefix sums in {0, 1}, sum 1."""
+    for i, line in enumerate(lines, start=1):
+        if len(line) != n:
+            return f"{name} {i} has length {len(line)}, expected {n}"
+        # prefix sums in {0, 1} make every entry a difference in {-1, 0, 1}
+        if _ZERO_ONE.issuperset(accumulate(line)) and sum(line) == 1:
+            continue
+        prefix = 0
+        for x in line:
+            if x not in (-1, 0, 1):
+                return f"{name} {i}: entry {x} not in {{-1,0,1}}"
+            prefix += x
+            if prefix not in (0, 1):
+                return f"{name} {i}: prefix sum {prefix} outside {{0,1}}"
+        return f"{name} {i}: row sum {prefix} != 1"
     return None
 
 
 def validate(obj) -> Verdict:
     """Check all type invariants; names the first violation on rejection."""
     if isinstance(obj, MonotoneTriangle):
-        n = obj.n
-        if n == 0:
+        if not obj.rows:
             return Verdict(False, "triangle has no rows")
-        for r, row in enumerate(obj.rows, start=1):
-            if len(row) != n - r + 1:
-                return Verdict(False, f"row {r} has length {len(row)}, expected {n - r + 1}")
-        return _validate_interlacing_rows(obj.rows)
+        return _validate_interlacing_rows(obj.rows, obj.n)
     if isinstance(obj, MonotoneTrapezoid):
         if not 1 <= obj.d <= obj.m:
             return Verdict(False, f"need 1 <= d <= m, got d={obj.d}, m={obj.m}")
         expected = obj.m - obj.d + 1
         if len(obj.rows) != expected:
             return Verdict(False, f"expected {expected} rows, got {len(obj.rows)}")
-        for r, row in enumerate(obj.rows, start=1):
-            if len(row) != obj.m - r + 1:
-                return Verdict(False, f"row {r} has length {len(row)}, expected {obj.m - r + 1}")
-        return _validate_interlacing_rows(obj.rows)
+        return _validate_interlacing_rows(obj.rows, obj.m)
     if isinstance(obj, Asm):
-        n = obj.n
-        if n == 0:
+        if not obj.entries:
             return Verdict(False, "matrix is empty")
-        for i, row in enumerate(obj.entries, start=1):
-            if len(row) != n:
-                return Verdict(False, f"row {i} has length {len(row)}, expected {n}")
-            problem = _validate_asm_row(row)
-            if problem:
-                return Verdict(False, f"row {i}: {problem}")
-        for j, col in enumerate(zip(*obj.entries), start=1):
-            problem = _validate_asm_row(col)
-            if problem:
-                return Verdict(False, f"column {j}: {problem}")
-        return Verdict(True)
+        problem = _first_bad_line(obj.entries, "row", obj.n)
+        problem = problem or _first_bad_line(zip(*obj.entries), "column", obj.n)
+        return Verdict(problem is None, problem)
     if isinstance(obj, PartialAsm):
-        for i, row in enumerate(obj.entries, start=1):
-            if len(row) != obj.n:
-                return Verdict(False, f"row {i} has length {len(row)}, expected {obj.n}")
-            problem = _validate_asm_row(row)
-            if problem:
-                return Verdict(False, f"row {i}: {problem}")
+        problem = _first_bad_line(obj.entries, "row", obj.n)
+        if problem:
+            return Verdict(False, problem)
         for j, col in enumerate(zip(*obj.entries), start=1):
             signs = [x for x in col if x]
             if not all(map(ne, signs, signs[1:])):
                 return Verdict(False, f"column {j}: nonzero entries do not alternate")
-            if signs and signs[0] == -1 and sum(signs) not in (-1, 0):
-                return Verdict(False, f"column {j}: inconsistent alternation")
         return Verdict(True)
     raise TypeError(f"cannot validate {type(obj).__name__}")
 
@@ -232,87 +218,85 @@ def validate(obj) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _indicator(row: Sequence[int], n: int) -> list[int]:
-    vec = [0] * n
-    for x in row:
-        if not 1 <= x <= n:
-            raise ValueError(f"entry {x} outside [1, {n}]")
-        vec[x - 1] += 1
-    return vec
-
-
-def triangle_to_asm(triangle: MonotoneTriangle) -> Asm:
-    """Row i of the matrix is the indicator difference of the triangle rows
-    with n+1-i and n+2-i entries (counted from the bottom)."""
-    verdict = validate(triangle)
+def _require_valid(obj, name: str) -> None:
+    verdict = validate(obj)
     if not verdict:
-        raise ValueError(f"invalid triangle: {verdict.reason}")
-    if not triangle.is_complete():
-        raise ValueError("triangle is not complete")
-    n = triangle.n
-    rows = []
-    upper: tuple[int, ...] = ()
-    for lower in reversed(triangle.rows):
+        raise ValueError(f"invalid {name}: {verdict.reason}")
+
+
+def _row_differences(rows, n: int, upper: Sequence[int] = ()) -> list[list[int]]:
+    """Top-down matrix rows: the indicator of each bottom-up row minus that
+    of the row above it, the topmost row taken against `upper`.  A triangle
+    is the (1, n)-trapezoid over an empty row, its ASM that partial ASM."""
+    matrix = []
+    for lower in reversed(rows):
         row = [0] * n
         for x in lower:
             row[x - 1] = 1
         for x in upper:
             row[x - 1] -= 1
-        rows.append(row)
+        matrix.append(row)
         upper = lower
-    return Asm(rows)
+    return matrix
+
+
+def _supports(bottom: tuple[int, ...], entries, n: int) -> list[tuple[int, ...]]:
+    """Bottom-up rows: `bottom`, then the support of its indicator after
+    subtracting each matrix row from the last one up, which must leave 0/1."""
+    indicator = [0] * n
+    for x in bottom:
+        indicator[x - 1] = 1
+    columns = range(1, n + 1)
+    rows = [bottom]
+    for row in reversed(entries):
+        indicator = list(map(sub, indicator, row))
+        if not _ZERO_ONE.issuperset(indicator):
+            raise ValueError("reconstruction produced a non-0/1 indicator")
+        rows.append(tuple(compress(columns, indicator)))
+    return rows
+
+
+def triangle_to_asm(triangle: MonotoneTriangle) -> Asm:
+    """Row i of the matrix is the indicator difference of the triangle rows
+    with n+1-i and n+2-i entries (counted from the bottom)."""
+    _require_valid(triangle, "triangle")
+    if not triangle.is_complete():
+        raise ValueError("triangle is not complete")
+    return Asm(_row_differences(triangle.rows, triangle.n))
 
 
 def asm_to_triangle(matrix: Asm) -> MonotoneTriangle:
     """Triangle row r is the support of the column partial sums of the first
     n+1-r matrix rows."""
-    verdict = validate(matrix)
-    if not verdict:
-        raise ValueError(f"invalid alternating sign matrix: {verdict.reason}")
-    columns = range(1, matrix.n + 1)
-    partial = [
-        tuple(compress(columns, sums))
-        for sums in accumulate(matrix.entries, lambda a, b: tuple(map(add, a, b)))
-    ]
-    return MonotoneTriangle(partial[::-1])
+    _require_valid(matrix, "alternating sign matrix")
+    n = matrix.n
+    return MonotoneTriangle(_supports(tuple(range(1, n + 1)), matrix.entries[1:], n))
 
 
 def trapezoid_to_partial_asm(trapezoid: MonotoneTrapezoid, n: int) -> PartialAsm:
     """Indicator differences of consecutive rows, top-down; yields the
     (m-d, n)-partial alternating sign matrix of the trapezoid."""
-    verdict = validate(trapezoid)
-    if not verdict:
-        raise ValueError(f"invalid trapezoid: {verdict.reason}")
-    top_down = list(reversed(trapezoid.rows))
-    rows = []
-    for u in range(len(top_down) - 1):
-        upper = _indicator(top_down[u], n)
-        lower = _indicator(top_down[u + 1], n)
-        rows.append([a - b for a, b in zip(lower, upper)])
-    return PartialAsm(n, rows)
+    _require_valid(trapezoid, "trapezoid")
+    rows = trapezoid.rows
+    # interlacing keeps every row inside the range of the bottom row
+    if not 1 <= rows[0][0] <= rows[0][-1] <= n:
+        raise ValueError(f"bottom row {rows[0]} has entries outside [1, {n}]")
+    return PartialAsm(n, _row_differences(rows[:-1], n, rows[-1]))
 
 
 def partial_asm_to_trapezoid(matrix: PartialAsm, bottom: Sequence[int]) -> MonotoneTrapezoid:
     """Inverse of trapezoid_to_partial_asm for the given bottom row."""
-    verdict = validate(matrix)
-    if not verdict:
-        raise ValueError(f"invalid partial alternating sign matrix: {verdict.reason}")
+    _require_valid(matrix, "partial alternating sign matrix")
     bottom = tuple(int(x) for x in bottom)
     if any(b >= a for a, b in zip(bottom[1:], bottom)):
         raise ValueError("bottom row must be strictly increasing")
     if matrix.t >= len(bottom):
         raise ValueError(f"a partial ASM of {matrix.t} rows needs a bottom row longer than {matrix.t}")
     n = matrix.n
-    ind = _indicator(bottom, n)
-    rows_bottom_up = [bottom]
-    for row in reversed(matrix.entries):
-        ind = [a - b for a, b in zip(ind, row)]
-        if any(v not in (0, 1) for v in ind):
-            raise ValueError("reconstruction produced a non-0/1 indicator")
-        rows_bottom_up.append(tuple(j + 1 for j, v in enumerate(ind) if v))
-    m = len(bottom)
-    d = len(rows_bottom_up[-1])
-    return MonotoneTrapezoid(d, m, rows_bottom_up, ambient_n=n)
+    if not 1 <= bottom[0] <= bottom[-1] <= n:
+        raise ValueError(f"bottom row {bottom} has entries outside [1, {n}]")
+    rows_bottom_up = _supports(bottom, matrix.entries, n)
+    return MonotoneTrapezoid(len(rows_bottom_up[-1]), len(bottom), rows_bottom_up, ambient_n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +305,7 @@ def partial_asm_to_trapezoid(matrix: PartialAsm, bottom: Sequence[int]) -> Monot
 
 
 def _require_complete(triangle: MonotoneTriangle) -> int:
-    verdict = validate(triangle)
-    if not verdict:
-        raise ValueError(f"invalid triangle: {verdict.reason}")
+    _require_valid(triangle, "triangle")
     if not triangle.is_complete():
         raise ValueError("map is defined on complete triangles only")
     return triangle.n

@@ -162,9 +162,6 @@ class MultiPoly:
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "MultiPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -196,12 +193,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.arity == other.arity and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __repr__(self):
         return f"MultiPoly(arity={self.arity}, nterms={len(self.terms)})"
@@ -416,8 +407,6 @@ class BinomialPoly:
         if isinstance(other, MultiPoly):
             return self.to_multipoly() == other
         return NotImplemented
-
-    __hash__ = None  # equal to MultiPolys, whose hash is over power-basis terms
 
     def max_degree(self) -> int:
         """Largest exponent of any variable; 0 for constants and zero."""

@@ -329,3 +329,51 @@ def test_table_beyond_the_int_str_digit_limit():
     assert len(lines) == 200
     assert lines[-1] == f"200,{decimal(asmlab.asm_total(200))}"
     assert len(lines[-1]) == len("200,") + 4545
+
+
+OBJECTS_BY_KIND = {
+    "monotone_triangle": {"kind": "monotone_triangle", "rows_bottom_up": [[1, 2, 3], [1, 3], [2]]},
+    "asm": {"kind": "asm", "rows": [[0, 1, 0], [1, -1, 1], [0, 1, 0]]},
+    "monotone_trapezoid": {
+        "kind": "monotone_trapezoid",
+        "d": 2,
+        "m": 3,
+        "rows_bottom_up": [[1, 2, 3], [1, 3]],
+        "ambient_n": 3,
+    },
+    "partial_asm": {"kind": "partial_asm", "n": 3, "rows": [[0, 1, 0]]},
+}
+CONVERT_SOURCES = {
+    "asm": "monotone_triangle",
+    "triangle": "asm",
+    "partial_asm": "monotone_trapezoid",
+    "trapezoid": "partial_asm",
+}
+
+
+@pytest.mark.parametrize(
+    "to, kind",
+    [(to, kind) for to, source in CONVERT_SOURCES.items() for kind in OBJECTS_BY_KIND if kind != source],
+)
+def test_convert_names_the_expected_kind(tmp_path, capsys, to, kind):
+    path = tmp_path / "obj.json"
+    path.write_text(json.dumps(OBJECTS_BY_KIND[kind]))
+    code, out, err = run(capsys, "convert", "--in", str(path), "--to", to, "--n", "3", "--bottom", "1,2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"expects a {CONVERT_SOURCES[to]} object" in err
+    assert "attribute" not in err
+
+
+def test_convert_fault_exits_three(tmp_path, capsys, monkeypatch):
+    from asmlab import objects
+
+    def broken(triangle):
+        raise AttributeError("planted fault")
+
+    monkeypatch.setattr(objects, "triangle_to_asm", broken)
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(OBJECTS_BY_KIND["monotone_triangle"]))
+    code, out, err = run(capsys, "convert", "--in", str(path), "--to", "asm")
+    assert code == 3 and out == ""
+    assert err == "error: AttributeError: planted fault\n"

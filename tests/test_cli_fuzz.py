@@ -80,10 +80,10 @@ def test_fuzzed_command_lines_keep_the_exit_contract(argv, term_cap):
 
 
 @st.composite
-def interlaced_rows(draw):
+def interlaced_rows(draw, values=SMALL):
     """Bottom-up rows, each entry between its two neighbours below; often a
     valid monotone triangle, sometimes not."""
-    row = sorted(draw(st.sets(SMALL, max_size=6)))
+    row = sorted(draw(st.sets(values, max_size=6)))
     rows = [row]
     while len(row) > 1:
         row = [draw(st.integers(a, b)) for a, b in zip(row, row[1:])]
@@ -125,9 +125,35 @@ def object_commands(draw):
     return argv
 
 
+@st.composite
+def conversions(draw):
+    """(JSON value, convert argv) that reach the trapezoid bijection: a
+    trapezoid whose d and m fit its interlaced rows, or the indicator
+    differences of its rows as a partial ASM; entries, --n and --bottom are
+    sometimes out of range."""
+    n = draw(st.integers(0, 9))
+    rows = draw(interlaced_rows(st.integers(0, 8)))
+    m = len(rows[0])
+    d = draw(st.integers(1, max(m, 1)))
+    rows = rows[: max(m - d + 1, 1)]
+    if draw(st.booleans()):
+        value = {"kind": "monotone_trapezoid", "d": d, "m": m, "rows_bottom_up": rows, "ambient_n": n}
+        return value, ["convert", "--to", "partial_asm", *option(draw, "--n", SMALL)]
+    matrix = [
+        [(j in lower) - (j in upper) for j in range(1, n + 1)]
+        for upper, lower in zip(rows[::-1], rows[-2::-1])
+    ]
+    bottom = rows[0]
+    if draw(st.booleans()):
+        bottom = sorted(draw(st.sets(st.integers(0, n + 1), min_size=1, max_size=n + 1)))
+    value = {"kind": "partial_asm", "n": n, "rows": matrix}
+    return value, ["convert", "--to", "trapezoid", "--bottom", ",".join(map(str, bottom))]
+
+
 @FUZZ
-@given(OBJECTS, object_commands())
-def test_fuzzed_json_input_keeps_the_exit_contract(value, argv):
+@given(st.tuples(OBJECTS, object_commands()) | conversions())
+def test_fuzzed_json_input_keeps_the_exit_contract(case):
+    value, argv = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w") as handle:

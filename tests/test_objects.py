@@ -238,3 +238,52 @@ def test_validate_names_the_first_violation(obj, reason):
     verdict = validate(obj)
     assert verdict.ok == (reason is None)
     assert verdict.reason == reason
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_trapezoids_are_triangles_without_their_top_rows(n):
+    # cutting the top d - 1 rows off a triangle leaves a (d, n)-trapezoid,
+    # whose partial matrix is the triangle's matrix without its first d rows;
+    # the same holds one column to the right, in ambient width n + 1
+    for tri in enumerate_triangles(tuple(range(1, n + 1))):
+        entries = triangle_to_asm(tri).entries
+        for d in range(1, n + 1):
+            for shift in (0, 1):
+                rows = [[x + shift for x in row] for row in tri.rows[: n - d + 1]]
+                trap = MonotoneTrapezoid(d, n, rows)
+                pasm = trapezoid_to_partial_asm(trap, n + shift)
+                assert pasm.entries == tuple((0,) * shift + row for row in entries[d:])
+                back = partial_asm_to_trapezoid(pasm, trap.rows[0])
+                assert back == trap and back.ambient_n == n + shift
+
+
+@pytest.mark.parametrize(
+    "trap",
+    [
+        MonotoneTrapezoid(1, 2, [(0, 2), (1,)]),
+        MonotoneTrapezoid(1, 2, [(2, 4), (3,)]),
+        MonotoneTrapezoid(2, 3, [(0, 1, 3), (1, 2)]),
+        MonotoneTrapezoid(2, 3, [(1, 2, 4), (2, 3)]),
+    ],
+)
+def test_trapezoid_entries_outside_the_ambient_width_are_rejected(trap):
+    with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+        trapezoid_to_partial_asm(trap, 3)
+
+
+@pytest.mark.parametrize(
+    "matrix, bottom, message",
+    [
+        (PartialAsm(3, [(0, 1, 0)]), (2, 1, 3), "strictly increasing"),
+        (PartialAsm(3, [(0, 1, 0)]), (1, 1, 3), "strictly increasing"),
+        (PartialAsm(3, [(0, 1, 0)]), (0, 2), r"outside \[1, 3\]"),
+        (PartialAsm(3, [(0, 1, 0)]), (2, 4), r"outside \[1, 3\]"),
+        (PartialAsm(3, [(1, 0, 0)]), (2, 3), "non-0/1"),
+        (PartialAsm(3, [(1, -1, 1)]), (2, 3), "non-0/1"),
+        # the last row subtracts cleanly, the first one does not
+        (PartialAsm(4, [(0, 0, 1, 0), (0, 0, 0, 1)]), (1, 2, 4), "non-0/1"),
+    ],
+)
+def test_partial_asm_reconstruction_errors(matrix, bottom, message):
+    with pytest.raises(ValueError, match=message):
+        partial_asm_to_trapezoid(matrix, bottom)
