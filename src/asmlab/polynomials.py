@@ -12,6 +12,9 @@ independent ways: by the summation-operator recursion in the binomial basis
 (authoritative) and by applying a product of shift-operator factors to a
 normalized Vandermonde product in the power basis (cross-check).  The two
 compare across bases: `BinomialPoly == MultiPoly` converts to the power basis.
+Both the operator product and that conversion compute on integer numerators
+over one known denominator; a `Fraction` is made once per term of the
+resulting `MultiPoly`.
 
 Variables are 1-based throughout (k_1 is variable 1).  No zero coefficient is
 ever stored.
@@ -307,12 +310,19 @@ def axis_transform(terms: Mapping, axis: int, row: Callable[[int], Sequence]) ->
 
 
 @lru_cache(maxsize=64)
-def _binomial_to_power_row(e: int) -> tuple[Fraction, ...]:
-    """C(x, e) = sum_p row[p] x^p, from the falling factorial x(x-1)...(x-e+1) / e!."""
+def _falling_factorial_row(e: int) -> tuple[int, ...]:
+    """e! C(x, e) = x(x-1)...(x-e+1) = sum_p row[p] x^p; the row holds the
+    signed Stirling numbers of the first kind s(e, p)."""
     coeffs = [1]
     for t in range(e):
         coeffs = [a - t * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    return tuple(Fraction(c, factorial(e)) for c in coeffs)
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=256)
+def _shift_row(e: int, h: int) -> tuple[int, ...]:
+    """(x + h)^e = sum_m row[m] x^m, with row[m] = C(e, m) h^(e - m)."""
+    return tuple(comb(e, m) * h ** (e - m) for m in range(e + 1))
 
 
 @lru_cache(maxsize=64)
@@ -371,10 +381,19 @@ class BinomialPoly:
     # -- conversion to the power basis ----------------------------------------
 
     def to_multipoly(self) -> MultiPoly:
+        # C(x, e) = (top! / e!) e! C(x, e) / top!: integer rows on every
+        # axis, and one division by top!^arity per final term
+        top = factorial(self.max_degree())
+
+        def row(e: int) -> list[int]:
+            weight = top // factorial(e)
+            return [weight * s for s in _falling_factorial_row(e)]
+
         terms = self.terms
         for idx in range(self.arity):
-            terms = axis_transform(terms, idx, _binomial_to_power_row)
-        return MultiPoly(self.arity, terms)
+            terms = axis_transform(terms, idx, row)
+        denominator = top**self.arity
+        return MultiPoly(self.arity, {e: Fraction(c, denominator) for e, c in terms.items()})
 
     # -- ring operations ------------------------------------------------------
 
@@ -572,20 +591,31 @@ def alpha_via_recursion(n: int) -> BinomialPoly:
 def alpha_via_operator(n: int, variant: str = PRODUCTION_ALPHA_VARIANT) -> MultiPoly:
     """alpha_n from the shift-operator product applied to vandermonde(n).
 
-    The factors commute, so the application order over pairs is irrelevant.
+    Each pair factor is id + E_outer^h (E_inner - id), applied to the
+    integer numerators of vandermonde(n) over D = prod_{i<j} (j - i).  The
+    factors commute, so the application order over pairs is irrelevant.
     """
     if variant not in ALPHA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {ALPHA_VARIANTS}")
-    poly = vandermonde(n)
+    denominator = prod(j - i for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    terms = {
+        e: c.numerator * (denominator // c.denominator) for e, c in vandermonde(n).terms.items()
+    }
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
-            if variant == "printed":
-                poly = poly + poly.shift(p, 1).shift(q, 1) - poly.shift(q, 1)
-            elif variant == "pair_minus_Ep":
-                poly = poly + poly.shift(p, 1).shift(q, 1) - poly.shift(p, 1)
-            else:  # inverse_form
-                poly = poly + poly.shift(q, 1).shift(p, -1) - poly.shift(p, -1)
-    return poly
+            outer, h, inner = {
+                "printed": (q, 1, p),
+                "pair_minus_Ep": (p, 1, q),
+                "inverse_form": (p, -1, q),
+            }[variant]
+            # (x + 1)^e - x^e drops the last entry of the shift row
+            diff = axis_transform(terms, inner - 1, lambda e: _shift_row(e, 1)[:-1])
+            step = axis_transform(diff, outer - 1, lambda e: _shift_row(e, h))
+            for e, c in terms.items():
+                step[e] = step.get(e, 0) + c
+            terms = {e: c for e, c in step.items() if c}
+            _check_cap(len(terms))
+    return MultiPoly(n, {e: Fraction(c, denominator) for e, c in terms.items()})
 
 
 def select_operator_variants(n_max: int = 5) -> list[str]:

@@ -112,7 +112,7 @@ def test_criterion_04_expansion_reconstruction():
 
 
 def test_criterion_05_operator_variant_selection():
-    survivors = select_operator_variants(4)
+    survivors = select_operator_variants(5)
     assert len(survivors) == 1, survivors
     assert survivors[0] in ALPHA_VARIANTS
     # the rejected as-printed operator product already fails at order 2

@@ -4,7 +4,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from asmlab import (
@@ -131,6 +131,26 @@ def test_binomial_roundtrip_through_power_basis(b):
     assert not (b != m) and not (m != b)
 
 
+def expand_by_linear_factors(b):
+    """b in the power basis, each C(k_v, e) expanded by binomial_in_var as a
+    product of linear factors, with no Stirling row."""
+    total = MultiPoly.zero(b.arity)
+    for exps, coef in b.terms.items():
+        term = MultiPoly.constant(b.arity, coef)
+        for var, e in enumerate(exps, start=1):
+            term = term * binomial_in_var(b.arity, var, 0, e)
+        total = total + term
+    return total
+
+
+@given(small_binomial_polys(max_deg=7))
+@example(BinomialPoly(3, {(7, 0, 3): 1}))
+@example(BinomialPoly(3, {(0, 7, 0): -2, (1, 0, 6): 5}))
+@example(BinomialPoly(3, {(7, 2, 5): 3, (2, 5, 1): -4, (0, 0, 0): 9, (6, 6, 0): 1}))
+def test_to_multipoly_matches_linear_factor_expansion(b):
+    assert b.to_multipoly().terms == expand_by_linear_factors(b).terms
+
+
 def test_binomial_in_var_matches_binomial_basis():
     # C(k + h, m) = sum_j C(h, m - j) C(k, j) by Vandermonde's convolution
     for m in range(6):
@@ -206,6 +226,15 @@ def test_term_cap_names_construction(monkeypatch):
     assert "vandermonde(n=3)" in str(exc.value)
 
 
+def test_term_cap_inside_the_operator_product(monkeypatch):
+    # vandermonde(3) has 6 terms, so a cap of 10 is hit by a pair factor
+    monkeypatch.setenv(TERM_CAP_ENV, "10")
+    assert len(vandermonde(3).terms) == 6
+    with pytest.raises(TermCapExceeded) as exc:
+        alpha_via_operator(3)
+    assert (exc.value.construction, exc.value.n) == ("alpha_via_operator", 3)
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
 def test_malformed_term_cap_raises_value_error(monkeypatch, raw):
     monkeypatch.setenv(TERM_CAP_ENV, raw)
@@ -252,6 +281,25 @@ def test_summation_operator_builds_alpha():
     assert summation_operator(alpha_via_recursion(2)) == alpha3
 
 
+#: each variant's pair factor as printed next to ALPHA_VARIANTS, applied with
+#: MultiPoly shifts
+PRINTED_PAIR_FACTORS = {
+    "printed": lambda P, p, q: P + P.shift(p, 1).shift(q, 1) - P.shift(q, 1),
+    "pair_minus_Ep": lambda P, p, q: P + P.shift(p, 1).shift(q, 1) - P.shift(p, 1),
+    "inverse_form": lambda P, p, q: P + P.shift(q, 1).shift(p, -1) - P.shift(p, -1),
+}
+
+
+@pytest.mark.parametrize("variant", ALPHA_VARIANTS)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_operator_variant_is_its_printed_formula(variant, n):
+    poly = vandermonde(n)
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            poly = PRINTED_PAIR_FACTORS[variant](poly, p, q)
+    assert alpha_via_operator(n, variant).terms == poly.terms
+
+
 @pytest.mark.parametrize("variant", ALPHA_VARIANTS)
 def test_operator_variants_defined(variant):
     poly = alpha_via_operator(2, variant)
@@ -259,11 +307,11 @@ def test_operator_variants_defined(variant):
 
 
 def test_variant_selection_is_unique():
-    assert select_operator_variants(4) == [PRODUCTION_ALPHA_VARIANT]
+    assert select_operator_variants(5) == [PRODUCTION_ALPHA_VARIANT]
 
 
 def test_production_variant_agrees_with_recursion():
-    for n in range(1, 5):
+    for n in range(1, 6):
         assert alpha_via_operator(n) == alpha_via_recursion(n)
 
 
