@@ -71,8 +71,16 @@ class CoefficientTable:
 
 @lru_cache(maxsize=128)
 def _specialized_alpha(n: int, c: int, d: int) -> BinomialPoly:
-    """alpha_n with the middle variables pinned to (c+1, ..., n-d)."""
-    return alpha_via_recursion(n).specialize({var: var for var in range(c + 1, n - d + 1)})
+    """alpha_n with the middle variables pinned to (c+1, ..., n-d).
+
+    Built from its neighbour: the (c, d) class is the (c+1, d) class with
+    variable c+1 pinned to c+1, and c + d >= n pins nothing.  The classes of
+    one d thus form one chain from alpha_n through this cache, and each step
+    pins one variable of an already smaller polynomial.
+    """
+    if c + d >= n:
+        return alpha_via_recursion(n)
+    return _specialized_alpha(n, c + 1, d).specialize({c + 1: c + 1})
 
 
 def _difference_value(poly: BinomialPoly, s: tuple[int, ...], i: tuple[int, ...], point) -> int:

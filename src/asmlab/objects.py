@@ -49,7 +49,7 @@ class MonotoneTriangle:
         return self.rows[r - 1][j - r]
 
     def is_complete(self) -> bool:
-        return self.rows and self.rows[0] == tuple(range(1, self.n + 1))
+        return bool(self.rows) and self.rows[0] == tuple(range(1, self.n + 1))
 
     def se_diagonal(self, l: int) -> tuple[int, ...]:
         """The l-th SE-diagonal (a_{l,l}, a_{l-1,l}, ..., a_{1,l})."""

@@ -12,9 +12,9 @@ independent ways: by the summation-operator recursion in the binomial basis
 (authoritative) and by applying a product of shift-operator factors to a
 normalized Vandermonde product in the power basis (cross-check).  The two
 compare across bases: `BinomialPoly == MultiPoly` converts to the power basis.
-Both the operator product and that conversion compute on integer numerators
-over one known denominator; a `Fraction` is made once per term of the
-resulting `MultiPoly`.
+The Vandermonde product, the operator product and that conversion compute on
+integer numerators over one known denominator; a `Fraction` is made once per
+term of the resulting `MultiPoly`.
 
 Variables are 1-based throughout (k_1 is variable 1).  No zero coefficient is
 ever stored.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from math import comb, factorial, prod
 from operator import getitem
 from typing import Callable, Mapping, Sequence
@@ -86,9 +86,9 @@ def _check_cap(terms: int) -> None:
         raise TermCapExceeded(terms, cap)
 
 
-def _names_cap_hits(build):
-    """Tag a TermCapExceeded raised inside build(n, ...) with the build's
-    name and n; the innermost tagged build wins."""
+def _names_cap_hits(build, name: str | None = None):
+    """Tag a TermCapExceeded raised inside build(n, ...) with `name` (by
+    default the build's own name) and n; the innermost tagged build wins."""
 
     @wraps(build)
     def wrapper(n, *args, **kwargs):
@@ -96,7 +96,7 @@ def _names_cap_hits(build):
             return build(n, *args, **kwargs)
         except TermCapExceeded as exc:
             if exc.construction is None:
-                exc.construction, exc.n = build.__name__, n
+                exc.construction, exc.n = name or build.__name__, n
             raise
 
     return wrapper
@@ -516,17 +516,30 @@ class BinomialPoly:
         )
 
 
-@_names_cap_hits
-def vandermonde(n: int) -> MultiPoly:
-    """The normalized Vandermonde product over (k_j - k_i) / (j - i)."""
+@partial(_names_cap_hits, name="vandermonde")
+def _vandermonde_numerators(n: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """prod_{i<j} (k_j - k_i) as {exponent tuple: int}, and its normalizing
+    denominator D = prod_{i<j} (j - i).  A cap hit is tagged vandermonde(n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    poly = MultiPoly.constant(n, 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            diff = MultiPoly.variable(n, j) - MultiPoly.variable(n, i)
-            poly = poly * diff.scale(Fraction(1, j - i))
-    return poly
+    terms = {(0,) * n: 1}
+    for i in range(n):
+        for j in range(i + 1, n):
+            # times k_j - k_i: raise the exponent of k_j, or of k_i with a minus sign
+            step: dict[tuple[int, ...], int] = {}
+            for e, c in terms.items():
+                for idx, coef in ((j, c), (i, -c)):
+                    key = e[:idx] + (e[idx] + 1,) + e[idx + 1 :]
+                    step[key] = step.get(key, 0) + coef
+            terms = {e: c for e, c in step.items() if c}
+            _check_cap(len(terms))
+    return terms, prod(j - i for i in range(n) for j in range(i + 1, n))
+
+
+def vandermonde(n: int) -> MultiPoly:
+    """The normalized Vandermonde product over (k_j - k_i) / (j - i)."""
+    terms, denominator = _vandermonde_numerators(n)
+    return MultiPoly(n, {e: Fraction(c, denominator) for e, c in terms.items()})
 
 
 def binomial_in_var(arity: int, var: int, offset: int, m: int) -> MultiPoly:
@@ -597,10 +610,7 @@ def alpha_via_operator(n: int, variant: str = PRODUCTION_ALPHA_VARIANT) -> Multi
     """
     if variant not in ALPHA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {ALPHA_VARIANTS}")
-    denominator = prod(j - i for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    terms = {
-        e: c.numerator * (denominator // c.denominator) for e, c in vandermonde(n).terms.items()
-    }
+    terms, denominator = _vandermonde_numerators(n)
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
             outer, h, inner = {

@@ -72,6 +72,29 @@ def test_specializing_no_variable_keeps_alpha():
             assert _specialized_alpha(n, c, n - c) is alpha_via_recursion(n)
 
 
+def test_specialized_alpha_pins_the_middle_variables():
+    from asmlab.polynomials import alpha_via_recursion
+
+    for n in range(1, 7):
+        alpha = alpha_via_recursion(n)
+        for c in range(n + 1):
+            for d in range(n + 1 - c):
+                direct = alpha.specialize({v: v for v in range(c + 1, n - d + 1)})
+                assert _specialized_alpha(n, c, d).terms == direct.terms, (n, c, d)
+
+
+def test_specialized_alpha_builds_each_class_from_its_neighbour():
+    _specialized_alpha.cache_clear()
+    _specialized_alpha(6, 0, 1)
+    # the chain (5, 1) -> (4, 1) -> ... -> (0, 1), one entry per class
+    assert _specialized_alpha.cache_info().currsize == 6
+    before = _specialized_alpha.cache_info()
+    for c in range(6):
+        _specialized_alpha(6, c, 1)
+    after = _specialized_alpha.cache_info()
+    assert (after.hits - before.hits, after.misses, after.currsize) == (6, before.misses, 6)
+
+
 def test_coefficient_table_matches_pointwise_extraction():
     # every cell, strict or not: the identity checks read non-strict cells too
     for n in range(1, 6):

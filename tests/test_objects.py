@@ -146,6 +146,12 @@ def test_symmetry_maps_conjugate_matrix_maps(n):
         assert triangle_to_asm(reflect_horizontal(tri)) == asm_reflect_horizontal(m)
 
 
+def test_is_complete_is_a_bool():
+    assert EXAMPLE_TRIANGLE.is_complete() is True
+    assert MonotoneTriangle([(2, 3, 5), (3, 4), (3,)]).is_complete() is False
+    assert MonotoneTriangle([]).is_complete() is False
+
+
 def test_symmetry_maps_reject_incomplete():
     partial = MonotoneTriangle([(2, 3, 5), (3, 4), (3,)])
     for op in (reflect_antidiagonal, rotate_90, reflect_horizontal):
