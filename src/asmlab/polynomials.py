@@ -26,7 +26,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
 from math import comb, factorial, prod
-from operator import getitem
+from operator import getitem, mul
 from typing import Callable, Mapping, Sequence
 
 DEFAULT_TERM_CAP = 2_000_000
@@ -397,24 +397,6 @@ class BinomialPoly:
 
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other: "BinomialPoly") -> "BinomialPoly":
-        if not isinstance(other, BinomialPoly):
-            return NotImplemented
-        if other.arity != self.arity:
-            raise ValueError("arity mismatch")
-        terms = dict(self.terms)
-        for exps, coef in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coef
-        return BinomialPoly._of(self.arity, terms)
-
-    def __neg__(self) -> "BinomialPoly":
-        return self.scale(-1)
-
-    def __sub__(self, other: "BinomialPoly") -> "BinomialPoly":
-        if not isinstance(other, BinomialPoly):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, factor: int) -> "BinomialPoly":
         return BinomialPoly._of(self.arity, {e: c * factor for e, c in self.terms.items()})
 
@@ -505,16 +487,6 @@ class BinomialPoly:
         pad = (0,) * (arity - self.arity)
         return BinomialPoly._of(arity, {e + pad: c for e, c in self.terms.items()})
 
-    # -- finite-difference calculus ---------------------------------------------
-
-    def antidifference(self, var: int) -> "BinomialPoly":
-        """The polynomial F with Delta_var F = self and F zero at k_var = 0:
-        C(k_var, e) becomes C(k_var, e + 1)."""
-        idx = _index(var, self.arity)
-        return BinomialPoly._of(
-            self.arity, {e[:idx] + (e[idx] + 1,) + e[idx + 1 :]: c for e, c in self.terms.items()}
-        )
-
 
 @partial(_names_cap_hits, name="vandermonde")
 def _vandermonde_numerators(n: int) -> tuple[dict[tuple[int, ...], int], int]:
@@ -557,26 +529,53 @@ def binomial_in_var(arity: int, var: int, offset: int, m: int) -> MultiPoly:
 
 
 def apply_sigma(poly: BinomialPoly, lo: int, hi: int) -> BinomialPoly:
-    """Recursive summation operator over variable slots lo..hi.
+    """Summation operator over variable slots lo..hi.
 
-    The operand uses slots lo..hi-1 as the summed variables; the result uses
-    slots lo..hi as the new bound variables.  Inner sums are realized through
-    discrete antiderivatives, which is the unique polynomial extension, and
-    each recursion step subtracts the doubled-argument correction term.
+    The operand sums over slots lo..hi-1 and leaves slot hi unused.  Where
+    k_lo < ... < k_hi the result is its sum over the strictly increasing rows
+    l with k_j <= l_j <= k_{j+1} in slots lo..hi-1, other slots held fixed.
+
+    With S_h the operator over slots lo..h, S_lo = id and S_{lo-1} = 0,
+        S_h q = S_{h-1}(T_h q) - S_{h-2}(C_h q),
+    where T_h sums slot h-1 from k_{h-1} to k_h (C(k_{h-1}, e) raised to
+    C(k_{h-1}, e + 1), at k_{h-1} = k_h + 1 minus the raised term) and C_h
+    pins slot h-2 to slot h-1, removing the rows with l_{h-2} = l_{h-1}.  S is
+    linear, so one pending term dict per level suffices: for h = hi down to
+    lo + 1, pop level h and add T_h of it into level h-1 and -C_h of it into
+    level h-2.  Level lo is the result.
     """
+    arity = poly.arity
     if hi < lo:
-        return BinomialPoly(poly.arity)
-    if hi == lo:
-        return poly
-    # inner sum over the slot hi-1 variable, from k_{hi-1} to k_hi
-    anti = poly.antidifference(hi - 1)
-    upper = anti.substitute_affine(hi - 1, hi, 1)
-    main = apply_sigma(upper - anti, lo, hi - 1)
-    if hi - 2 < lo:
-        return main
-    # doubled-argument correction: both trailing summed slots pinned to k_{hi-1}
-    corr = poly.substitute_affine(hi - 2, hi - 1, 0)
-    return main - apply_sigma(corr, lo, hi - 2)
+        return BinomialPoly(arity)
+    if lo < 1 or hi > arity:
+        raise ValueError(f"slots {lo}..{hi} out of range 1..{arity}")
+    # exponents as digits base `base`: each T_h adds at most 1 to the total degree
+    base = max(map(sum, poly.terms), default=0) + hi - lo + 1
+    weight = [base**v for v in range(arity)]
+    level = {hi: {sum(map(mul, e, weight)): c for e, c in poly.terms.items()}}
+    for h in range(hi, lo, -1):
+        q = {e: c for e, c in level.pop(h).items() if c}
+        _check_cap(len(q))
+        wx, wy = weight[h - 2], weight[h - 1]  # slots h-1 and h
+        up = level.setdefault(h - 1, {})
+        for e, c in q.items():
+            x, y = e // wx % base, e // wy % base
+            up[e + wx] = up.get(e + wx, 0) - c
+            rest = e - x * wx - y * wy
+            for j, factor in _substitution_row(x + 1, y, 1):
+                key = rest + j * wy
+                up[key] = up.get(key, 0) + c * factor
+        if h - 2 >= lo:
+            wx, wy = weight[h - 3], weight[h - 2]  # slots h-2 and h-1
+            down = level.setdefault(h - 2, {})
+            for e, c in q.items():
+                x, y = e // wx % base, e // wy % base
+                rest = e - x * wx - y * wy
+                for j, factor in _substitution_row(x, y, 0):
+                    key = rest + j * wy
+                    down[key] = down.get(key, 0) - c * factor
+    terms = {tuple(e // w % base for w in weight): c for e, c in level[lo].items()}
+    return BinomialPoly._of(arity, terms)
 
 
 def summation_operator(poly: BinomialPoly) -> BinomialPoly:

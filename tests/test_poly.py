@@ -15,6 +15,7 @@ from asmlab import (
     TermCapExceeded,
     alpha_via_operator,
     alpha_via_recursion,
+    apply_sigma,
     binomial_in_var,
     count_triangles,
     select_operator_variants,
@@ -181,12 +182,52 @@ def test_binomial_negation(b):
     assert b.negate_variables() == b.to_multipoly().negate_variables()
 
 
-@given(small_binomial_polys(), st.integers(1, 3))
-def test_binomial_antidifference(b, var):
-    # Delta_var F = b and F = 0 at k_var = 0 determine F uniquely
-    anti = b.antidifference(var)
-    assert anti.shift(var, 1) - anti == b
-    assert not anti.specialize({var: 0}).terms
+def strict_rows(bounds):
+    """The strictly increasing rows l with bounds[j] <= l_j <= bounds[j+1]."""
+    rows = [()]
+    for lower, upper in zip(bounds, bounds[1:]):
+        rows = [r + (x,) for r in rows for x in range(lower, upper + 1) if not r or r[-1] < x]
+    return rows
+
+
+@st.composite
+def sigma_cases(draw):
+    """A small BinomialPoly, a slot range lo..hi whose slot hi the operand
+    leaves unused when hi > lo, and a point increasing strictly on lo..hi."""
+    arity = draw(st.integers(1, 5))
+    lo = draw(st.integers(1, arity))
+    hi = draw(st.integers(lo, arity))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = [draw(st.integers(0, 3)) for _ in range(arity)]
+        if hi > lo:
+            exps[hi - 1] = 0
+        terms[tuple(exps)] = draw(st.integers(-9, 9))
+    point = [draw(st.integers(-4, 4)) for _ in range(arity)]
+    for slot in range(lo, hi):
+        point[slot] = point[slot - 1] + draw(st.integers(1, 3))
+    return BinomialPoly(arity, terms), lo, hi, point
+
+
+@given(sigma_cases())
+def test_apply_sigma_sums_over_strict_interlacing_rows(case):
+    poly, lo, hi, point = case
+    expected = sum(
+        poly.evaluate(point[: lo - 1] + list(row) + point[hi - 1 :])
+        for row in strict_rows(point[lo - 1 : hi])
+    )
+    assert apply_sigma(poly, lo, hi).evaluate(point) == expected
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2), (2, 4)])
+def test_apply_sigma_rejects_slots_outside_the_ring(lo, hi):
+    with pytest.raises(ValueError, match="out of range"):
+        apply_sigma(BinomialPoly(3, {(1, 0, 0): 1}), lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 1), (5, 4)])
+def test_apply_sigma_over_no_slot_is_zero(lo, hi):
+    assert not apply_sigma(BinomialPoly(3, {(1, 0, 0): 1}), lo, hi).terms
 
 
 @given(
@@ -262,6 +303,23 @@ def test_alpha_7_matches_brute_force_on_strict_rows():
     alpha = alpha_via_recursion(7)
     for bottom in combinations(range(1, 10), 7):
         assert alpha.evaluate_int(list(bottom)) == count_triangles(bottom)
+
+
+@pytest.mark.parametrize(
+    "n, terms", [(1, 1), (2, 3), (3, 15), (4, 111), (5, 1105), (6, 14172), (7, 222642)]
+)
+def test_alpha_term_counts(n, terms):
+    assert len(alpha_via_recursion(n).terms) == terms
+
+
+def test_term_cap_inside_the_summation_operator(monkeypatch):
+    # alpha_5 (1,105 terms) is built and cached first; summing it up to
+    # alpha_6 (14,172 terms) hits the cap inside apply_sigma
+    alpha_via_recursion(5)
+    monkeypatch.setenv(TERM_CAP_ENV, "2000")
+    with pytest.raises(TermCapExceeded) as exc:
+        alpha_via_recursion.__wrapped__(6)
+    assert (exc.value.construction, exc.value.n) == ("alpha_via_recursion", 6)
 
 
 def test_alpha_at_degenerate_point_is_zero():
