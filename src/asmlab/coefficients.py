@@ -16,7 +16,6 @@ cell serves `asmlab coeff`.  The re-expansion check works in the power basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
@@ -148,11 +147,12 @@ def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
     # scale clears every denominator: m! divides (n-1)!
     scale = factorial(n - 1)
 
-    def power_row(var: int, offset: int, m: int, sign: int) -> list[int]:
-        """Power-basis coefficients of sign^m C(k_var + offset, m), times scale."""
+    def power_row(offset: int, m: int, sign: int) -> list[int]:
+        """Power-basis coefficients of sign^m C(k + offset, m), times scale."""
+        poly = binomial_in_var(1, 1, offset, m)
         row = [0] * (m + 1)
-        for exps, coef in binomial_in_var(n, var, offset, m).terms.items():
-            row[exps[var - 1]] = (sign**m * scale * coef).numerator
+        for (e,), coef in poly.terms.items():
+            row[e] = sign**m * scale * coef // poly.denominator
         return row
 
     # entry j on a differenced axis is the difference power m = j - 1; the
@@ -160,14 +160,15 @@ def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
     middle = (0,) * (n - c - d)
     grid = {s[::-1] + middle + i: value for (s, i), value in table.values.items() if value}
     for axis in range(c):  # (-1)^m C(k_l - c - 1, m) with l = axis + 1, m = s_{c+1-l} - 1
-        grid = axis_transform(grid, axis, lambda j: power_row(axis + 1, -c - 1, j - 1, -1))
+        grid = axis_transform(grid, axis, lambda j: power_row(-c - 1, j - 1, -1))
     for axis in range(n - d, n):  # C(k_{axis+1} - n + d - 1 + m, m) with m = i_l - 1, l = axis - n + d + 1
-        grid = axis_transform(grid, axis, lambda j: power_row(axis + 1, j - n + d - 2, j - 1, 1))
-    denominator = scale ** (c + d)
-    total = MultiPoly(n, {key: Fraction(v, denominator) for key, v in grid.items()}).terms
-    target = _specialized_alpha(n, c, d).to_multipoly().terms
-    for exps in sorted(target.keys() | total.keys()):
-        report.record(f"term {exps}", target.get(exps, 0), total.get(exps, 0))
+        grid = axis_transform(grid, axis, lambda j: power_row(j - n + d - 2, j - 1, 1))
+    total = MultiPoly(n, grid, scale ** (c + d))
+    target = _specialized_alpha(n, c, d).to_multipoly()
+    # target = total as rationals: numerator times the other's denominator
+    for exps in sorted(target.terms.keys() | total.terms.keys()):
+        expected = target.terms.get(exps, 0) * total.denominator
+        report.record(f"term {exps}", expected, total.terms.get(exps, 0) * target.denominator)
     return report
 
 

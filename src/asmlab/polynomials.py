@@ -1,11 +1,11 @@
 """Sparse exact multivariate polynomials in two bases.
 
 `MultiPoly` stores a polynomial in k_1, ..., k_n in the power basis
-prod_v k_v^e_v with `fractions.Fraction` coefficients.  `BinomialPoly` stores
-an integer-valued polynomial in the binomial basis prod_v C(k_v, e_v) with
-`int` coefficients.  In that basis the forward difference Delta_v lowers e_v
-by one and the antidifference raises it by one, so the summation calculus
-needs no fractions.
+prod_v k_v^e_v as `int` numerators over one positive `int` denominator, in
+lowest terms.  `BinomialPoly` stores an integer-valued polynomial in the
+binomial basis prod_v C(k_v, e_v) with `int` coefficients.  In that basis the
+forward difference Delta_v lowers e_v by one and the antidifference raises it
+by one, so the summation calculus needs no denominator at all.
 
 The triangle-counting polynomial alpha_n(k_1, ..., k_n) is built two
 independent ways: by the summation-operator recursion in the binomial basis
@@ -13,8 +13,7 @@ independent ways: by the summation-operator recursion in the binomial basis
 normalized Vandermonde product in the power basis (cross-check).  The two
 compare across bases: `BinomialPoly == MultiPoly` converts to the power basis.
 The Vandermonde product, the operator product and that conversion compute on
-integer numerators over one known denominator; a `Fraction` is made once per
-term of the resulting `MultiPoly`.
+integer numerators over one known denominator, and hand both to `MultiPoly`.
 
 Variables are 1-based throughout (k_1 is variable 1).  No zero coefficient is
 ever stored.
@@ -23,9 +22,8 @@ ever stored.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import lru_cache, partial, wraps
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import getitem, mul
 from typing import Callable, Mapping, Sequence
 
@@ -102,33 +100,41 @@ def _names_cap_hits(build, name: str | None = None):
     return wrapper
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected exact rational, got {type(value).__name__}")
+def _int_terms(arity: int, terms: Mapping[tuple[int, ...], int] | None) -> dict:
+    """A checked copy of {exponent tuple: int} without zero coefficients."""
+    if arity < 0:
+        raise ValueError("arity must be nonnegative")
+    clean: dict[tuple[int, ...], int] = {}
+    for exps, coef in (terms or {}).items():
+        if not isinstance(coef, int):
+            raise TypeError(f"expected int coefficient, got {type(coef).__name__}")
+        if len(exps) != arity or min(exps, default=0) < 0:
+            raise ValueError(f"exponent vector {exps} is not {arity} nonnegative integers")
+        if coef:
+            clean[tuple(exps)] = coef
+    _check_cap(len(clean))
+    return clean
 
 
 class MultiPoly:
-    """Polynomial in k_1..k_arity stored as {exponent tuple: Fraction}."""
+    """Polynomial (sum_e terms[e] prod_v k_v^e_v) / denominator in
+    k_1..k_arity: `int` numerators over one positive `int` denominator, in
+    lowest terms, so equal polynomials have equal terms and denominator."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "terms", "denominator")
 
-    def __init__(self, arity: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coef in (terms or {}).items():
-            coef = _as_fraction(coef)
-            if coef == 0:
-                continue
-            if len(exps) != arity:
-                raise ValueError(f"exponent vector {exps} does not match arity {arity}")
-            clean[tuple(exps)] = coef
-        _check_cap(len(clean))
+    def __init__(
+        self, arity: int, terms: Mapping[tuple[int, ...], int] | None = None, denominator: int = 1
+    ):
+        if denominator < 1:
+            raise ValueError(f"denominator must be positive, got {denominator}")
+        clean = _int_terms(arity, terms)
+        common = gcd(denominator, *clean.values())
+        if common > 1:
+            clean = {e: c // common for e, c in clean.items()}
         self.arity = arity
         self.terms = clean
+        self.denominator = denominator // common
 
     # -- constructors -------------------------------------------------------
 
@@ -137,14 +143,14 @@ class MultiPoly:
         return cls(arity)
 
     @classmethod
-    def constant(cls, arity: int, value) -> "MultiPoly":
-        return cls(arity, {(0,) * arity: _as_fraction(value)})
+    def constant(cls, arity: int, value: int) -> "MultiPoly":
+        return cls(arity, {(0,) * arity: value})
 
     @classmethod
     def variable(cls, arity: int, var: int) -> "MultiPoly":
         exps = [0] * arity
         exps[_index(var, arity)] = 1
-        return cls(arity, {tuple(exps): Fraction(1)})
+        return cls(arity, {tuple(exps): 1})
 
     # -- ring operations ----------------------------------------------------
 
@@ -152,36 +158,37 @@ class MultiPoly:
         other = self._coerce(other)
         if other.arity != self.arity:
             raise ValueError("arity mismatch")
-        terms = dict(self.terms)
+        denominator = lcm(self.denominator, other.denominator)
+        mine, theirs = denominator // self.denominator, denominator // other.denominator
+        terms = {e: c * mine for e, c in self.terms.items()}
         for exps, coef in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coef
-        return MultiPoly(self.arity, terms)
+            terms[exps] = terms.get(exps, 0) + coef * theirs
+        return MultiPoly(self.arity, terms, denominator)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         if other.arity != self.arity:
             raise ValueError("arity mismatch")
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(self.arity, terms)
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return MultiPoly(self.arity, terms, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
-    def scale(self, factor) -> "MultiPoly":
-        factor = _as_fraction(factor)
-        return MultiPoly(self.arity, {e: c * factor for e, c in self.terms.items()})
+    def scale(self, factor: int) -> "MultiPoly":
+        return MultiPoly(self.arity, {e: c * factor for e, c in self.terms.items()}, self.denominator)
 
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
@@ -191,27 +198,26 @@ class MultiPoly:
     # -- structure ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.constant(self.arity, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return (self.arity, self.denominator, self.terms) == (other.arity, other.denominator, other.terms)
 
     def __repr__(self):
-        return f"MultiPoly(arity={self.arity}, nterms={len(self.terms)})"
+        return f"MultiPoly(arity={self.arity}, nterms={len(self.terms)}, denominator={self.denominator})"
 
     # -- substitution and evaluation ----------------------------------------
 
-    def substitute_affine(self, var: int, target: int, offset) -> "MultiPoly":
+    def substitute_affine(self, var: int, target: int, offset: int) -> "MultiPoly":
         """Substitute k_var -> k_target + offset; target may equal var."""
         idx = _index(var, self.arity)
         tidx = _index(target, self.arity)
-        offset = _as_fraction(offset)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for exps, coef in self.terms.items():
             e = exps[idx]
             if e == 0:
-                terms[exps] = terms.get(exps, Fraction(0)) + coef
+                terms[exps] = terms.get(exps, 0) + coef
                 continue
             base = list(exps)
             base[idx] = 0
@@ -223,8 +229,8 @@ class MultiPoly:
                 key = list(base)
                 key[tidx] += m
                 key = tuple(key)
-                terms[key] = terms.get(key, Fraction(0)) + part
-        return MultiPoly(self.arity, terms)
+                terms[key] = terms.get(key, 0) + part
+        return MultiPoly(self.arity, terms, self.denominator)
 
     def shift(self, var: int, h: int) -> "MultiPoly":
         """Shift operator E_var^h: substitutes k_var -> k_var + h."""
@@ -232,26 +238,18 @@ class MultiPoly:
             return self
         return self.substitute_affine(var, var, h)
 
-    def evaluate(self, values: Sequence) -> Fraction:
-        """Exact evaluation at a full assignment (values[i] is k_{i+1})."""
+    def evaluate(self, values: Sequence[int]) -> int:
+        """Exact value at the integer point values[v-1] = k_v; raises
+        ArithmeticError when the value is not an integer."""
         if len(values) != self.arity:
             raise ValueError("assignment length does not match arity")
-        vals = [_as_fraction(v) for v in values]
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            prod = coef
-            for v, e in zip(vals, exps):
-                if e:
-                    prod *= v**e
-            total += prod
-        return total
+        total = sum(coef * prod(map(pow, values, exps)) for exps, coef in self.terms.items())
+        value, rest = divmod(total, self.denominator)
+        if rest:
+            raise ArithmeticError(f"expected integer value, got {total}/{self.denominator}")
+        return value
 
-    def evaluate_int(self, values: Sequence[int]) -> int:
-        """Evaluate and assert the result is an exact integer."""
-        value = self.evaluate(values)
-        if value.denominator != 1:
-            raise ArithmeticError(f"expected integer value, got {value}")
-        return value.numerator
+    evaluate_int = evaluate
 
     def permute_positions(self, new_position: Sequence[int]) -> "MultiPoly":
         """Move the exponent of variable v to variable new_position[v-1]."""
@@ -263,12 +261,14 @@ class MultiPoly:
             for i, e in enumerate(exps):
                 key[new_position[i] - 1] = e
             terms[tuple(key)] = coef
-        return MultiPoly(self.arity, terms)
+        return MultiPoly(self.arity, terms, self.denominator)
 
     def negate_variables(self) -> "MultiPoly":
         """Substitute k_v -> -k_v for every variable."""
         return MultiPoly(
-            self.arity, {e: c * (-1) ** (sum(e) % 2) for e, c in self.terms.items()}
+            self.arity,
+            {e: c * (-1) ** (sum(e) % 2) for e, c in self.terms.items()},
+            self.denominator,
         )
 
 
@@ -355,19 +355,8 @@ class BinomialPoly:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
-        clean: dict[tuple[int, ...], int] = {}
-        for exps, coef in (terms or {}).items():
-            if not isinstance(coef, int):
-                raise TypeError(f"expected int coefficient, got {type(coef).__name__}")
-            if len(exps) != arity or min(exps, default=0) < 0:
-                raise ValueError(f"exponent vector {exps} is not {arity} nonnegative integers")
-            if coef:
-                clean[tuple(exps)] = coef
-        _check_cap(len(clean))
+        self.terms = _int_terms(arity, terms)
         self.arity = arity
-        self.terms = clean
 
     @classmethod
     def _of(cls, arity: int, terms: dict) -> "BinomialPoly":
@@ -381,8 +370,9 @@ class BinomialPoly:
     # -- conversion to the power basis ----------------------------------------
 
     def to_multipoly(self) -> MultiPoly:
-        # C(x, e) = (top! / e!) e! C(x, e) / top!: integer rows on every
-        # axis, and one division by top!^arity per final term
+        """The same polynomial in the power basis.  C(x, e) = (top! / e!)
+        e! C(x, e) / top!: integer rows on every axis over one denominator
+        top!^arity."""
         top = factorial(self.max_degree())
 
         def row(e: int) -> list[int]:
@@ -392,8 +382,7 @@ class BinomialPoly:
         terms = self.terms
         for idx in range(self.arity):
             terms = axis_transform(terms, idx, row)
-        denominator = top**self.arity
-        return MultiPoly(self.arity, {e: Fraction(c, denominator) for e, c in terms.items()})
+        return MultiPoly(self.arity, terms, top**self.arity)
 
     # -- ring operations ------------------------------------------------------
 
@@ -510,22 +499,19 @@ def _vandermonde_numerators(n: int) -> tuple[dict[tuple[int, ...], int], int]:
 
 def vandermonde(n: int) -> MultiPoly:
     """The normalized Vandermonde product over (k_j - k_i) / (j - i)."""
-    terms, denominator = _vandermonde_numerators(n)
-    return MultiPoly(n, {e: Fraction(c, denominator) for e, c in terms.items()})
+    return MultiPoly(n, *_vandermonde_numerators(n))
 
 
 def binomial_in_var(arity: int, var: int, offset: int, m: int) -> MultiPoly:
-    """C(k_var + offset, m) expanded as a polynomial."""
+    """C(k_var + offset, m) expanded as a polynomial: the product of the
+    linear factors k_var + offset - t over t < m, over m!."""
     if m < 0:
         return MultiPoly.zero(arity)
     poly = MultiPoly.constant(arity, 1)
     x = MultiPoly.variable(arity, var)
     for t in range(m):
         poly = poly * (x + (offset - t))
-    denom = 1
-    for t in range(1, m + 1):
-        denom *= t
-    return poly.scale(Fraction(1, denom))
+    return MultiPoly(arity, poly.terms, factorial(m))
 
 
 def apply_sigma(poly: BinomialPoly, lo: int, hi: int) -> BinomialPoly:
@@ -624,7 +610,7 @@ def alpha_via_operator(n: int, variant: str = PRODUCTION_ALPHA_VARIANT) -> Multi
                 step[e] = step.get(e, 0) + c
             terms = {e: c for e, c in step.items() if c}
             _check_cap(len(terms))
-    return MultiPoly(n, {e: Fraction(c, denominator) for e, c in terms.items()})
+    return MultiPoly(n, terms, denominator)
 
 
 def select_operator_variants(n_max: int = 5) -> list[str]:

@@ -1,7 +1,11 @@
 """Product and summation closed forms against the brute-force oracles."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import asmlab
 from asmlab import (
     IndexTuplePair,
     a_nij,
@@ -127,11 +131,11 @@ def test_division_is_checked():
         _exact_div(10**5000 + 1, 10**10, "huge")
 
 
-def test_closed_forms_use_no_fractions():
-    from asmlab import closed_forms
-
-    assert "Fraction" not in vars(closed_forms)
-    assert "fractions" not in vars(closed_forms)
+def test_no_module_uses_fractions():
+    for info in pkgutil.iter_modules(asmlab.__path__):
+        module = importlib.import_module(f"asmlab.{info.name}")
+        assert "Fraction" not in vars(module), info.name
+        assert "fractions" not in vars(module), info.name
 
 
 def test_closed_forms_read_no_extraction():

@@ -2,6 +2,7 @@
 
 import os
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given
@@ -26,11 +27,14 @@ from asmlab.polynomials import TERM_CAP_ENV, binom
 
 
 def poly_of(arity, terms):
-    return MultiPoly(arity, terms)
+    """MultiPoly from int or Fraction coefficients, as numerators over their
+    least common denominator."""
+    denominator = lcm(*(Fraction(c).denominator for c in terms.values()))
+    return MultiPoly(arity, {e: int(c * denominator) for e, c in terms.items()}, denominator)
 
 
 def mono(arity, exps, coef=1):
-    return MultiPoly(arity, {tuple(exps): Fraction(coef)})
+    return poly_of(arity, {tuple(exps): coef})
 
 
 @st.composite
@@ -41,6 +45,16 @@ def small_polys(draw, arity=3, max_deg=3):
         exps = tuple(draw(st.integers(0, max_deg)) for _ in range(arity))
         terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
     return poly_of(arity, terms)
+
+
+@st.composite
+def small_binomial_polys(draw, arity=3, max_deg=4):
+    n_terms = draw(st.integers(0, 6))
+    terms = {}
+    for _ in range(n_terms):
+        exps = tuple(draw(st.integers(0, max_deg)) for _ in range(arity))
+        terms[exps] = draw(st.integers(-9, 9))
+    return BinomialPoly(arity, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +80,10 @@ def test_addition_commutes(p, q):
     assert p + q == q + p
 
 
-@given(small_polys(), small_polys())
+@given(
+    small_binomial_polys().map(BinomialPoly.to_multipoly),
+    small_binomial_polys().map(BinomialPoly.to_multipoly),
+)
 def test_multiplication_evaluates_pointwise(p, q):
     point = [2, -1, 3]
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
@@ -101,6 +118,40 @@ def test_substitute_and_specialize():
         poly_of(1, {(1,): Fraction(1, 2)}).evaluate_int([1])
 
 
+def test_terms_are_normalized_to_lowest_terms():
+    p = MultiPoly(1, {(1,): 2, (0,): 4}, 6)
+    q = MultiPoly(1, {(1,): 1, (0,): 2}, 3)
+    assert (p.terms, p.denominator) == (q.terms, q.denominator)
+    assert p.denominator == 3
+    assert MultiPoly(2, {}, 12).denominator == 1
+    half = mono(1, (1,), Fraction(1, 2))
+    assert half.denominator == 2 and (half - half).denominator == 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_vandermonde_keeps_its_full_denominator(n):
+    # every monomial of prod_{i<j} (k_j - k_i) has coefficient +-1
+    assert vandermonde(n).denominator == prod(j - i for i in range(n) for j in range(i + 1, n))
+
+
+@pytest.mark.parametrize("terms", [{(-1,): 1}, {(1, 0): 1}])
+def test_exponents_must_be_nonnegative_and_match_the_arity(terms):
+    with pytest.raises(ValueError, match=r"is not 1 nonnegative integers"):
+        MultiPoly(1, terms)
+
+
+@pytest.mark.parametrize("coef", [Fraction(1, 2), Fraction(2), 0.5])
+def test_numerators_must_be_ints(coef):
+    with pytest.raises(TypeError, match="expected int coefficient"):
+        MultiPoly(1, {(1,): coef})
+
+
+@pytest.mark.parametrize("denominator", [0, -2])
+def test_denominator_must_be_positive(denominator):
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        MultiPoly(1, {(1,): 1}, denominator)
+
+
 def test_term_cap_env(monkeypatch):
     monkeypatch.setenv(TERM_CAP_ENV, "3")
     dense = poly_of(1, {(0,): Fraction(1), (1,): Fraction(1)})
@@ -113,16 +164,6 @@ def test_term_cap_env(monkeypatch):
 # ---------------------------------------------------------------------------
 # the integer binomial basis against the power basis
 # ---------------------------------------------------------------------------
-
-
-@st.composite
-def small_binomial_polys(draw, arity=3, max_deg=4):
-    n_terms = draw(st.integers(0, 6))
-    terms = {}
-    for _ in range(n_terms):
-        exps = tuple(draw(st.integers(0, max_deg)) for _ in range(arity))
-        terms[exps] = draw(st.integers(-9, 9))
-    return BinomialPoly(arity, terms)
 
 
 @given(small_binomial_polys())
