@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
+from operator import index
 from typing import Sequence
 
 from .enumeration import (
@@ -49,7 +50,7 @@ class IndexTuplePair:
 
     def __init__(self, n: int, s: Sequence[int] = (), i: Sequence[int] = ()):
         s, i = index_tuples(n, s, i)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", index(n))
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "i", i)
 

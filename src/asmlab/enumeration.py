@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Iterator, Sequence
 
 from .objects import MonotoneTriangle
@@ -27,7 +28,7 @@ class BottomRowSpec:
     weak_bottom: bool = False
 
     def __init__(self, entries: Sequence[int], weak_bottom: bool = False):
-        entries = tuple(int(x) for x in entries)
+        entries = tuple(map(index, entries))
         if not entries:
             raise ValueError("bottom row must be nonempty")
         for a, b in zip(entries, entries[1:]):
@@ -46,9 +47,9 @@ def index_tuples(
     return them as integer tuples.  Needs n >= 1, c + d <= n and entries in
     [1, n]; order "strict" or "weak" also requires each tuple to increase
     strictly or weakly, None leaves the order free."""
-    s = tuple(int(x) for x in s)
-    i = tuple(int(x) for x in i)
-    if n < 1:
+    s = tuple(map(index, s))
+    i = tuple(map(index, i))
+    if index(n) < 1:
         raise ValueError("n must be positive")
     if len(s) + len(i) > n:
         raise ValueError("need c + d <= n")
@@ -73,11 +74,12 @@ class GammaSpec:
     i: tuple[int, ...]
 
     def __init__(self, n: int, k: Sequence[int], s: Sequence[int] = (), i: Sequence[int] = ()):
-        k = tuple(int(x) for x in k)
+        n = index(n)
+        k = tuple(map(index, k))
         if len(k) != n:
             raise ValueError(f"k must have length n={n}")
         s, i = index_tuples(n, s, i, order="weak")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "i", i)

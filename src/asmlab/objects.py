@@ -4,6 +4,12 @@ Rows of triangles and trapezoids are stored bottom-up: rows[0] is the bottom
 (longest) row.  Matrices are stored top-down as usual.  All objects are
 immutable after construction; `validate` returns a verdict instead of raising
 so that enumerators can use it as a filter.
+
+The public constructors take outside input (user, JSON and test data) and
+convert every integer with `operator.index`, so a float or a numeric string
+raises TypeError instead of being truncated.  The bijections and symmetry
+maps build their images as tuples of int tuples themselves and hand them to
+`_built`, which sets the fields without a second conversion.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
-from operator import ne, sub
+from operator import index, ne, sub
 from typing import Sequence
 
 
@@ -27,8 +33,21 @@ class Verdict:
         return self.ok
 
 
+_VALID = Verdict(True)
+
+
 def _freeze_rows(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple([tuple(map(int, row)) for row in rows])
+    return tuple([tuple(map(index, row)) for row in rows])
+
+
+def _built(cls, *values):
+    """An instance of the dataclass `cls` whose fields, every one in
+    declaration order, are `values` as given: kernel output, already ints
+    and tuples of int tuples, so the constructor's conversion is skipped."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -77,10 +96,10 @@ class MonotoneTrapezoid:
     ambient_n: int | None = field(default=None, compare=False)
 
     def __init__(self, d, m, rows, ambient_n=None):
-        object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "d", index(d))
+        object.__setattr__(self, "m", index(m))
         object.__setattr__(self, "rows", _freeze_rows(rows))
-        object.__setattr__(self, "ambient_n", ambient_n)
+        object.__setattr__(self, "ambient_n", None if ambient_n is None else index(ambient_n))
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -119,7 +138,7 @@ class PartialAsm:
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, entries: Sequence[Sequence[int]]):
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", index(n))
         object.__setattr__(self, "entries", _freeze_rows(entries))
 
     @property
@@ -159,7 +178,7 @@ def _validate_interlacing_rows(rows, m) -> Verdict:
                 return Verdict(False, f"interlacing violated between rows {r + 1},{r + 2} at position {t + 1} (lower bound)")
             if not high[t] <= low[t + 1]:
                 return Verdict(False, f"interlacing violated between rows {r + 1},{r + 2} at position {t + 1} (upper bound)")
-    return Verdict(True)
+    return _VALID
 
 
 def _first_bad_line(lines, name: str, n: int) -> str | None:
@@ -200,7 +219,7 @@ def validate(obj) -> Verdict:
             return Verdict(False, "matrix is empty")
         problem = _first_bad_line(obj.entries, "row", obj.n)
         problem = problem or _first_bad_line(zip(*obj.entries), "column", obj.n)
-        return Verdict(problem is None, problem)
+        return Verdict(False, problem) if problem else _VALID
     if isinstance(obj, PartialAsm):
         problem = _first_bad_line(obj.entries, "row", obj.n)
         if problem:
@@ -209,7 +228,7 @@ def validate(obj) -> Verdict:
             signs = [x for x in col if x]
             if not all(map(ne, signs, signs[1:])):
                 return Verdict(False, f"column {j}: nonzero entries do not alternate")
-        return Verdict(True)
+        return _VALID
     raise TypeError(f"cannot validate {type(obj).__name__}")
 
 
@@ -224,7 +243,7 @@ def _require_valid(obj, name: str) -> None:
         raise ValueError(f"invalid {name}: {verdict.reason}")
 
 
-def _row_differences(rows, n: int, upper: Sequence[int] = ()) -> list[list[int]]:
+def _row_differences(rows, n: int, upper: Sequence[int] = ()) -> tuple[tuple[int, ...], ...]:
     """Top-down matrix rows: the indicator of each bottom-up row minus that
     of the row above it, the topmost row taken against `upper`.  A triangle
     is the (1, n)-trapezoid over an empty row, its ASM that partial ASM."""
@@ -235,12 +254,12 @@ def _row_differences(rows, n: int, upper: Sequence[int] = ()) -> list[list[int]]
             row[x - 1] = 1
         for x in upper:
             row[x - 1] -= 1
-        matrix.append(row)
+        matrix.append(tuple(row))
         upper = lower
-    return matrix
+    return tuple(matrix)
 
 
-def _supports(bottom: tuple[int, ...], entries, n: int) -> list[tuple[int, ...]]:
+def _supports(bottom: tuple[int, ...], entries, n: int) -> tuple[tuple[int, ...], ...]:
     """Bottom-up rows: `bottom`, then the support of its indicator after
     subtracting each matrix row from the last one up, which must leave 0/1."""
     indicator = [0] * n
@@ -253,7 +272,7 @@ def _supports(bottom: tuple[int, ...], entries, n: int) -> list[tuple[int, ...]]
         if not _ZERO_ONE.issuperset(indicator):
             raise ValueError("reconstruction produced a non-0/1 indicator")
         rows.append(tuple(compress(columns, indicator)))
-    return rows
+    return tuple(rows)
 
 
 def triangle_to_asm(triangle: MonotoneTriangle) -> Asm:
@@ -262,7 +281,7 @@ def triangle_to_asm(triangle: MonotoneTriangle) -> Asm:
     _require_valid(triangle, "triangle")
     if not triangle.is_complete():
         raise ValueError("triangle is not complete")
-    return Asm(_row_differences(triangle.rows, triangle.n))
+    return _built(Asm, _row_differences(triangle.rows, triangle.n))
 
 
 def asm_to_triangle(matrix: Asm) -> MonotoneTriangle:
@@ -270,24 +289,25 @@ def asm_to_triangle(matrix: Asm) -> MonotoneTriangle:
     n+1-r matrix rows."""
     _require_valid(matrix, "alternating sign matrix")
     n = matrix.n
-    return MonotoneTriangle(_supports(tuple(range(1, n + 1)), matrix.entries[1:], n))
+    return _built(MonotoneTriangle, _supports(tuple(range(1, n + 1)), matrix.entries[1:], n))
 
 
 def trapezoid_to_partial_asm(trapezoid: MonotoneTrapezoid, n: int) -> PartialAsm:
     """Indicator differences of consecutive rows, top-down; yields the
     (m-d, n)-partial alternating sign matrix of the trapezoid."""
     _require_valid(trapezoid, "trapezoid")
+    n = index(n)
     rows = trapezoid.rows
     # interlacing keeps every row inside the range of the bottom row
     if not 1 <= rows[0][0] <= rows[0][-1] <= n:
         raise ValueError(f"bottom row {rows[0]} has entries outside [1, {n}]")
-    return PartialAsm(n, _row_differences(rows[:-1], n, rows[-1]))
+    return _built(PartialAsm, n, _row_differences(rows[:-1], n, rows[-1]))
 
 
 def partial_asm_to_trapezoid(matrix: PartialAsm, bottom: Sequence[int]) -> MonotoneTrapezoid:
     """Inverse of trapezoid_to_partial_asm for the given bottom row."""
     _require_valid(matrix, "partial alternating sign matrix")
-    bottom = tuple(int(x) for x in bottom)
+    bottom = tuple(map(index, bottom))
     if any(b >= a for a, b in zip(bottom[1:], bottom)):
         raise ValueError("bottom row must be strictly increasing")
     if matrix.t >= len(bottom):
@@ -296,7 +316,7 @@ def partial_asm_to_trapezoid(matrix: PartialAsm, bottom: Sequence[int]) -> Monot
     if not 1 <= bottom[0] <= bottom[-1] <= n:
         raise ValueError(f"bottom row {bottom} has entries outside [1, {n}]")
     rows_bottom_up = _supports(bottom, matrix.entries, n)
-    return MonotoneTrapezoid(len(rows_bottom_up[-1]), len(bottom), rows_bottom_up, ambient_n=n)
+    return _built(MonotoneTrapezoid, len(rows_bottom_up[-1]), len(bottom), rows_bottom_up, n)
 
 
 # ---------------------------------------------------------------------------
@@ -315,23 +335,28 @@ def reflect_antidiagonal(triangle: MonotoneTriangle) -> MonotoneTriangle:
     """AD: b_{i,j} = #{x in the j-th SE-diagonal with x >= i}; corresponds to
     reflecting the matrix along the antidiagonal."""
     n = _require_complete(triangle)
-    # interlacing makes every SE-diagonal weakly increasing
-    diagonals = [triangle.se_diagonal(j) for j in range(1, n + 1)]
-    rows = [[len(d) - bisect_left(d, i) for d in diagonals[i - 1 :]] for i in range(1, n + 1)]
-    return MonotoneTriangle(rows)
+    # the l-th SE-diagonal (a_{l,l}, ..., a_{1,l}); interlacing makes every
+    # SE-diagonal weakly increasing
+    rows = triangle.rows
+    diagonals = [[rows[r][l - r] for r in range(l, -1, -1)] for l in range(n)]
+    images = tuple(
+        tuple([len(d) - bisect_left(d, i) for d in diagonals[i - 1 :]]) for i in range(1, n + 1)
+    )
+    return _built(MonotoneTriangle, images)
 
 
 def rotate_90(triangle: MonotoneTriangle) -> MonotoneTriangle:
     """R: c_{i,j} = #{x in the (n+1-j)-th NE-diagonal with x <= n+1-i};
     corresponds to rotating the matrix clockwise by 90 degrees."""
     n = _require_complete(triangle)
-    # interlacing makes every NE-diagonal weakly increasing
-    diagonals = [triangle.ne_diagonal(l) for l in range(1, n + 1)]
-    rows = [
-        [bisect_right(diagonals[n - j], n + 1 - i) for j in range(i, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return MonotoneTriangle(rows)
+    # the l-th NE-diagonal (a_{1,l}, ..., a_{n-l+1,n}) is entry l of every
+    # row that long; interlacing makes every NE-diagonal weakly increasing
+    rows = triangle.rows
+    diagonals = [[row[l] for row in rows[: n - l]] for l in range(n)]
+    images = tuple(
+        tuple([bisect_right(d, top) for d in reversed(diagonals[:top])]) for top in range(n, 0, -1)
+    )
+    return _built(MonotoneTriangle, images)
 
 
 def reflect_horizontal(triangle: MonotoneTriangle) -> MonotoneTriangle:
@@ -341,9 +366,9 @@ def reflect_horizontal(triangle: MonotoneTriangle) -> MonotoneTriangle:
     n = _require_complete(triangle)
     universe = set(range(1, n + 1))
     rows = [tuple(range(1, n + 1))]
-    for r in range(2, n + 1):
-        rows.append(tuple(sorted(universe - set(triangle.rows[n + 1 - r]))))
-    return MonotoneTriangle(rows)
+    for row in triangle.rows[:0:-1]:
+        rows.append(tuple(sorted(universe - set(row))))
+    return _built(MonotoneTriangle, tuple(rows))
 
 
 # matrix-level counterparts, used to check that the triangle maps conjugate
@@ -352,16 +377,16 @@ def reflect_horizontal(triangle: MonotoneTriangle) -> MonotoneTriangle:
 
 def asm_reflect_antidiagonal(matrix: Asm) -> Asm:
     # row i is column n-1-i read from the bottom up
-    return Asm(list(zip(*reversed(matrix.entries)))[::-1])
+    return _built(Asm, tuple(zip(*reversed(matrix.entries)))[::-1])
 
 
 def asm_rotate_90(matrix: Asm) -> Asm:
     # row i is column i read from the bottom up
-    return Asm(list(zip(*reversed(matrix.entries))))
+    return _built(Asm, tuple(zip(*reversed(matrix.entries))))
 
 
 def asm_reflect_horizontal(matrix: Asm) -> Asm:
-    return Asm(matrix.entries[::-1])
+    return _built(Asm, matrix.entries[::-1])
 
 
 # ---------------------------------------------------------------------------

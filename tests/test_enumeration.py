@@ -8,6 +8,7 @@ import pytest
 from asmlab import (
     BottomRowSpec,
     GammaSpec,
+    IndexTuplePair,
     count_trapezoids,
     count_triangles,
     enumerate_triangles,
@@ -16,7 +17,7 @@ from asmlab import (
     special_point,
     validate,
 )
-from asmlab.enumeration import _successor_rows
+from asmlab.enumeration import _successor_rows, index_tuples
 
 # every strictly increasing row with entries in 0..7 and at most five entries
 SMALL_ROWS = [row for length in range(1, 6) for row in combinations(range(8), length)]
@@ -180,9 +181,7 @@ def test_refined_counts_rejects_nonpositive_order():
 
 
 def test_index_tuples_orderings():
-    from asmlab.enumeration import index_tuples
-
-    assert index_tuples(4, ["2", 1], (3,)) == ((2, 1), (3,))
+    assert index_tuples(4, [2, 1], (3,)) == ((2, 1), (3,))
     assert index_tuples(4, (1, 1), (), order="weak") == ((1, 1), ())
     cases = [
         ((0, (), ()), None, "n must be positive"),
@@ -196,6 +195,25 @@ def test_index_tuples_orderings():
     for args, order, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             index_tuples(*args, order=order)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (count_triangles, ([1.5, 2.7, 3.2],)),
+        (count_trapezoids, (4, [1.9], [2.5])),
+        (BottomRowSpec, (["1", "2"],)),
+        (GammaSpec, (3, [1.0, 2, 3])),
+        (GammaSpec, (3.0, [1, 2, 3])),
+        (index_tuples, (4, ["2", 1], (3,))),
+        (index_tuples, (4.0, (), ())),
+        (IndexTuplePair, (3, [1.0])),
+        (IndexTuplePair, (3.0, [1])),
+    ],
+)
+def test_non_integer_input_is_rejected_not_truncated(call, args):
+    with pytest.raises(TypeError):
+        call(*args)
 
 
 def test_trapezoid_count_rejects_nonpositive_order():

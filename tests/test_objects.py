@@ -1,6 +1,7 @@
 """Combinatorial objects: validation, bijections, symmetry maps."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -137,13 +138,33 @@ def test_antidiagonal_is_horizontal_after_rotation():
         assert reflect_antidiagonal(tri) == reflect_horizontal(rotate_90(tri))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def canonical(obj):
+    """`obj`, after checking that it equals and hashes as the object its
+    public constructor builds from its fields, and that its rows are tuples
+    of ints; a kernel that skipped the constructor must still yield that."""
+    values = [getattr(obj, f.name) for f in fields(obj)]
+    rebuilt = type(obj)(*values)
+    assert obj == rebuilt and hash(obj) == hash(rebuilt)
+    for value in values:
+        if isinstance(value, tuple):
+            assert all(type(row) is tuple and all(type(x) is int for x in row) for row in value)
+        else:
+            assert value is None or type(value) is int
+    return obj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_symmetry_maps_conjugate_matrix_maps(n):
     for tri in enumerate_triangles(tuple(range(1, n + 1))):
-        m = triangle_to_asm(tri)
-        assert triangle_to_asm(reflect_antidiagonal(tri)) == asm_reflect_antidiagonal(m)
-        assert triangle_to_asm(rotate_90(tri)) == asm_rotate_90(m)
-        assert triangle_to_asm(reflect_horizontal(tri)) == asm_reflect_horizontal(m)
+        m = canonical(triangle_to_asm(tri))
+        assert canonical(asm_to_triangle(m)) == tri
+        for triangle_map, matrix_map in (
+            (reflect_antidiagonal, asm_reflect_antidiagonal),
+            (rotate_90, asm_rotate_90),
+            (reflect_horizontal, asm_reflect_horizontal),
+        ):
+            image = canonical(triangle_map(tri))
+            assert canonical(triangle_to_asm(image)) == canonical(matrix_map(m))
 
 
 def test_is_complete_is_a_bool():
@@ -257,9 +278,9 @@ def test_trapezoids_are_triangles_without_their_top_rows(n):
             for shift in (0, 1):
                 rows = [[x + shift for x in row] for row in tri.rows[: n - d + 1]]
                 trap = MonotoneTrapezoid(d, n, rows)
-                pasm = trapezoid_to_partial_asm(trap, n + shift)
+                pasm = canonical(trapezoid_to_partial_asm(trap, n + shift))
                 assert pasm.entries == tuple((0,) * shift + row for row in entries[d:])
-                back = partial_asm_to_trapezoid(pasm, trap.rows[0])
+                back = canonical(partial_asm_to_trapezoid(pasm, trap.rows[0]))
                 assert back == trap and back.ambient_n == n + shift
 
 
@@ -293,3 +314,23 @@ def test_trapezoid_entries_outside_the_ambient_width_are_rejected(trap):
 def test_partial_asm_reconstruction_errors(matrix, bottom, message):
     with pytest.raises(ValueError, match=message):
         partial_asm_to_trapezoid(matrix, bottom)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (MonotoneTriangle, ([[1.5, 2.9], [2.2]],)),
+        (MonotoneTriangle, ([["1", "2"], ["1"]],)),
+        (MonotoneTrapezoid, (1.9, 3, [(1, 2, 3), (1, 2), (1,)])),
+        (MonotoneTrapezoid, (1, 3.0, [(1, 2, 3), (1, 2), (1,)])),
+        (MonotoneTrapezoid, (1, 3, [(1, 2, 3), (1, 2), (1,)], 3.0)),
+        (Asm, ([[1.0]],)),
+        (PartialAsm, (2.0, [(0, 1)])),
+        (PartialAsm, ("2", [(0, 1)])),
+        (partial_asm_to_trapezoid, (PartialAsm(3, [(0, 1, 0)]), (1.0, 2, 3))),
+        (trapezoid_to_partial_asm, (MonotoneTrapezoid(1, 2, [(1, 2), (1,)]), 2.0)),
+    ],
+)
+def test_non_integer_input_is_rejected_not_truncated(build, args):
+    with pytest.raises(TypeError):
+        build(*args)
