@@ -33,7 +33,6 @@ from .polynomials import (
     BinomialPoly,
     MultiPoly,
     alpha_via_recursion,
-    axis_transform,
     binom,
     binomial_in_var,
 )
@@ -123,14 +122,15 @@ def coefficient_table(n: int, c: int, d: int) -> CoefficientTable:
     if c + d > n:
         raise ValueError("need c + d <= n")
     point = special_point(n, c, d)
-    grid = _specialized_alpha(n, c, d).terms
+    rows = {}
     for axis in [*range(c), *range(n - d, n)]:
         x = point[axis]
         if axis < c:
-            rows = [[0] + [(-1) ** m * binom(x, e - m) for m in range(n)] for e in range(n)]
+            table = [[0] + [(-1) ** m * binom(x, e - m) for m in range(n)] for e in range(n)]
         else:
-            rows = [[0] + [binom(x - m, e - m) for m in range(n)] for e in range(n)]
-        grid = axis_transform(grid, axis, rows.__getitem__)
+            table = [[0] + [binom(x - m, e - m) for m in range(n)] for e in range(n)]
+        rows[axis + 1] = table.__getitem__
+    grid = _specialized_alpha(n, c, d).reexpand(rows).exponent_terms()
     cells = range(1, n + 1)
     values = dict.fromkeys(product(product(cells, repeat=c), product(cells, repeat=d)), 0)
     for key, value in grid.items():
@@ -152,7 +152,7 @@ def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
         """Power-basis coefficients of sign^m C(k + offset, m), times scale."""
         poly = binomial_in_var(1, 1, offset, m)
         row = [0] * (m + 1)
-        for (e,), coef in poly.terms.items():
+        for (e,), coef in poly.exponent_terms().items():
             row[e] = sign**m * scale * coef // poly.denominator
         return row
 
@@ -160,16 +160,18 @@ def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
     # pinned middle variables keep exponent 0
     middle = (0,) * (n - c - d)
     grid = {s[::-1] + middle + i: value for (s, i), value in table.values.items() if value}
-    for axis in range(c):  # (-1)^m C(k_l - c - 1, m) with l = axis + 1, m = s_{c+1-l} - 1
-        grid = axis_transform(grid, axis, lambda j: power_row(-c - 1, j - 1, -1))
-    for axis in range(n - d, n):  # C(k_{axis+1} - n + d - 1 + m, m) with m = i_l - 1, l = axis - n + d + 1
-        grid = axis_transform(grid, axis, lambda j: power_row(j - n + d - 2, j - 1, 1))
-    total = MultiPoly(n, grid, scale ** (c + d))
+    rows = {}
+    for l in range(1, c + 1):  # (-1)^m C(k_l - c - 1, m) with m = s_{c+1-l} - 1
+        rows[l] = lambda j: power_row(-c - 1, j - 1, -1)
+    for var in range(n - d + 1, n + 1):  # C(k_var - n + d - 1 + m, m) with m = i_l - 1, l = var - n + d
+        rows[var] = lambda j: power_row(j - n + d - 2, j - 1, 1)
+    total = MultiPoly(n, grid, scale ** (c + d)).reexpand(rows)
     target = _specialized_alpha(n, c, d).to_multipoly()
     # target = total as rationals: numerator times the other's denominator
-    for exps in sorted(target.terms.keys() | total.terms.keys()):
-        expected = target.terms.get(exps, 0) * total.denominator
-        report.record(f"term {exps}", expected, total.terms.get(exps, 0) * target.denominator)
+    target_terms, total_terms = target.exponent_terms(), total.exponent_terms()
+    for exps in sorted(target_terms.keys() | total_terms.keys()):
+        expected = target_terms.get(exps, 0) * total.denominator
+        report.record(f"term {exps}", expected, total_terms.get(exps, 0) * target.denominator)
     return report
 
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import index
 from typing import Iterator, Sequence
 
-from .objects import MonotoneTriangle
+from .objects import MonotoneTriangle, _built
 
 #: soft practical bounds; the CLI warns (but does not refuse) beyond these
 EXHAUSTIVE_FAMILY_CAP = 7
@@ -138,7 +138,7 @@ def enumerate_triangles(spec) -> Iterator[MonotoneTriangle]:
 
     def build(rows: list[tuple[int, ...]]) -> Iterator[MonotoneTriangle]:
         if len(rows[-1]) == 1:
-            yield MonotoneTriangle(rows)
+            yield _built(MonotoneTriangle, tuple(rows))
             return
         for nxt in _successor_rows(rows[-1]):
             yield from build(rows + [nxt])

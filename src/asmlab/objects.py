@@ -9,7 +9,8 @@ The public constructors take outside input (user, JSON and test data) and
 convert every integer with `operator.index`, so a float or a numeric string
 raises TypeError instead of being truncated.  The bijections and symmetry
 maps build their images as tuples of int tuples themselves and hand them to
-`_built`, which sets the fields without a second conversion.
+`_built`, which sets the fields without a second conversion;
+`enumeration.enumerate_triangles` builds its triangles the same way.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from asmlab import (
     BottomRowSpec,
     GammaSpec,
     IndexTuplePair,
+    MonotoneTriangle,
     count_trapezoids,
     count_triangles,
     enumerate_triangles,
@@ -40,6 +41,11 @@ def test_enumeration_agrees_with_count():
         for t in triangles:
             assert validate(t)
             assert t.rows[0] == bottom
+            # built without the constructor, yet the same object it builds
+            rebuilt = MonotoneTriangle(t.rows)
+            assert t == rebuilt and hash(t) == hash(rebuilt)
+            assert type(t.rows) is tuple
+            assert all(type(row) is tuple and all(type(x) is int for x in row) for row in t.rows)
 
 
 def test_enumeration_lexicographic():

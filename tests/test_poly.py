@@ -140,6 +140,57 @@ def test_exponents_must_be_nonnegative_and_match_the_arity(terms):
         MultiPoly(1, terms)
 
 
+@pytest.mark.parametrize("cls", [MultiPoly, BinomialPoly])
+@pytest.mark.parametrize("terms", [{(256, 0): 1}, {(0, 300): 1}, {(1, 256): 0}])
+def test_exponents_above_255_are_rejected(cls, terms):
+    # each exponent is one byte of the packed key; a zero coefficient is
+    # checked all the same
+    with pytest.raises(ValueError, match="above 255"):
+        cls(2, terms)
+
+
+@pytest.mark.parametrize(
+    "arity, terms",
+    [
+        (3, {}),
+        (0, {(): 4}),
+        (3, {(0, 0, 0): 5}),
+        (3, {(255, 0, 1): -3, (0, 255, 255): 7, (1, 2, 3): 1}),
+        (3, {(3, 0, 0): 0, (0, 0, 3): 2}),
+    ],
+)
+def test_tuple_keyed_terms_round_trip_through_the_accessor(arity, terms):
+    nonzero = {e: c for e, c in terms.items() if c}
+    assert BinomialPoly(arity, terms).exponent_terms() == nonzero
+    assert MultiPoly(arity, terms).exponent_terms() == nonzero
+
+
+@given(small_binomial_polys(), st.integers(3, 6))
+def test_extend_arity_keeps_the_keys(b, arity):
+    wider = b.extend_arity(arity)
+    assert wider.terms == b.terms
+    pad = (0,) * (arity - 3)
+    assert wider.exponent_terms() == {e + pad: c for e, c in b.exponent_terms().items()}
+
+
+def test_products_and_substitutions_past_255_raise_instead_of_wrapping():
+    x200, x55 = mono(2, (200, 0)), mono(2, (55, 0))
+    assert (x200 * x55).exponent_terms() == {(255, 0): 1}
+    with pytest.raises(ValueError, match="above 255"):
+        x200 * mono(2, (56, 0))
+    # k_1 -> k_2 + h moves the exponent of k_1 onto k_2's
+    for poly in (mono(2, (200, 56)), BinomialPoly(2, {(200, 56): 1, (1, 1): 1})):
+        with pytest.raises(ValueError, match="above 255"):
+            poly.substitute_affine(1, 2, 3)
+    assert BinomialPoly(2, {(200, 55): 1}).substitute_affine(1, 2, 0).max_degree() == 255
+    # a shift keeps every exponent, so even 255 shifts
+    assert BinomialPoly(1, {(255,): 1}).shift(1, 2).max_degree() == 255
+    with pytest.raises(ValueError, match="above 255"):
+        BinomialPoly(2, {(1, 0): 1}).reexpand({2: lambda e: [0] * 256 + [1]})
+    with pytest.raises(ValueError, match="above 255"):
+        vandermonde(257)
+
+
 @pytest.mark.parametrize("coef", [Fraction(1, 2), Fraction(2), 0.5])
 def test_numerators_must_be_ints(coef):
     with pytest.raises(TypeError, match="expected int coefficient"):
@@ -177,7 +228,7 @@ def expand_by_linear_factors(b):
     """b in the power basis, each C(k_v, e) expanded by binomial_in_var as a
     product of linear factors, with no Stirling row."""
     total = MultiPoly.zero(b.arity)
-    for exps, coef in b.terms.items():
+    for exps, coef in b.exponent_terms().items():
         term = MultiPoly.constant(b.arity, coef)
         for var, e in enumerate(exps, start=1):
             term = term * binomial_in_var(b.arity, var, 0, e)
@@ -251,6 +302,9 @@ def sigma_cases(draw):
 
 
 @given(sigma_cases())
+# total degree 253 plus two raising steps reaches exponent 255, the top of a byte
+@example((BinomialPoly(3, {(250, 3, 0): 1, (0, 1, 0): -2}), 1, 3, [300, 304, 308]))
+@example((BinomialPoly(4, {(0, 0, 254, 0): 1, (0, 7, 0, 0): 3}), 3, 4, [0, 5, 260, 263]))
 def test_apply_sigma_sums_over_strict_interlacing_rows(case):
     poly, lo, hi, point = case
     expected = sum(
@@ -264,6 +318,12 @@ def test_apply_sigma_sums_over_strict_interlacing_rows(case):
 def test_apply_sigma_rejects_slots_outside_the_ring(lo, hi):
     with pytest.raises(ValueError, match="out of range"):
         apply_sigma(BinomialPoly(3, {(1, 0, 0): 1}), lo, hi)
+
+
+@pytest.mark.parametrize("terms, lo, hi", [({(251, 3, 0): 1}, 1, 3), ({(0, 255, 0): 1}, 2, 3)])
+def test_apply_sigma_refuses_to_raise_an_exponent_past_255(terms, lo, hi):
+    with pytest.raises(ValueError, match="above 255"):
+        apply_sigma(BinomialPoly(3, terms), lo, hi)
 
 
 @pytest.mark.parametrize("lo, hi", [(2, 1), (5, 4)])
