@@ -4,14 +4,16 @@ Subcommands: count, coeff, table, verify, transform, convert.  All counts are
 printed as decimal strings and never as JSON numbers; output is byte-identical
 across runs for identical arguments.  Exit status: 0 success / all checks
 pass, 1 verification failure, 2 usage error (bad arguments or input files, a
-malformed ASMLAB_TERM_CAP, or a polynomial outgrowing that cap), 3 any other
-error; an error prints one `error:` line on stderr and no traceback.
+malformed ASMLAB_TERM_CAP, a polynomial outgrowing that cap, or a stdout closed
+before all output was written, as by `| head -1`), 3 any other error; an error
+prints one `error:` line on stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import closed_forms, coefficients, enumeration, objects
@@ -290,7 +292,16 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise UsageError("--jobs must be positive")
         _check_term_cap()
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with no stdout, as by `>&-`
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; output still buffered goes to devnull, so
+        # the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        return USAGE_ERROR
     except (UsageError, TermCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

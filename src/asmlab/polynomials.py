@@ -29,10 +29,11 @@ wrong length or an exponent outside 0..255 with ValueError; `exponent_terms()`
 reads the terms back as tuples.  The encoding stays inside this module.
 
 The carry guard: an exponent above 255 would carry into its neighbour's byte.
-So every kernel that raises exponents (`apply_sigma`, `substitute_affine`,
-`MultiPoly` products, the Vandermonde product and a re-expansion row past
-index 255) first checks the bound from a degree it already knows and raises
-ValueError; it never wraps silently.
+So every kernel that raises exponents (`apply_sigma`, `MultiPoly` products,
+the Vandermonde product and a re-expansion row past index 255) first checks
+the bound from a degree it already knows and raises ValueError; it never wraps
+silently.  A shift is a re-expansion whose row for exponent e ends at index e,
+so it never raises an exponent.
 """
 
 from __future__ import annotations
@@ -315,8 +316,6 @@ class MultiPoly:
             terms[exps] = terms.get(exps, 0) + coef * theirs
         return MultiPoly._of(self.arity, terms, denominator)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "MultiPoly":
         return self.scale(-1)
 
@@ -336,8 +335,6 @@ class MultiPoly:
                 terms[key] = terms.get(key, 0) + c1 * c2
         return MultiPoly._of(self.arity, terms, self.denominator * other.denominator)
 
-    __rmul__ = __mul__
-
     def scale(self, factor: int) -> "MultiPoly":
         return MultiPoly._of(self.arity, {e: c * factor for e, c in self.terms.items()}, self.denominator)
 
@@ -349,8 +346,6 @@ class MultiPoly:
     # -- structure ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = MultiPoly.constant(self.arity, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (self.arity, self.denominator, self.terms) == (other.arity, other.denominator, other.terms)
@@ -362,32 +357,14 @@ class MultiPoly:
     def __repr__(self):
         return f"MultiPoly(arity={self.arity}, nterms={len(self.terms)}, denominator={self.denominator})"
 
-    # -- substitution and evaluation ----------------------------------------
-
-    def substitute_affine(self, var: int, target: int, offset: int) -> "MultiPoly":
-        """Substitute k_var -> k_target + offset; target may equal var.
-        Raises ValueError if an exponent of k_target would pass 255."""
-        sv, st = 8 * _index(var, self.arity), 8 * _index(target, self.arity)
-        terms: dict[int, int] = {}
-        for key, coef in self.terms.items():
-            e = (key >> sv) & 255
-            if e == 0:
-                terms[key] = terms.get(key, 0) + coef
-                continue
-            rest = key - (e << sv)
-            _raised_past_limit(((rest >> st) & 255) + e, "the substitution")
-            # (k_target + offset)^e by the binomial theorem
-            for m, factor in enumerate(_shift_row(e, offset)):
-                if factor:
-                    new = rest + (m << st)
-                    terms[new] = terms.get(new, 0) + coef * factor
-        return MultiPoly._of(self.arity, terms, self.denominator)
+    # -- changes of variable and evaluation ---------------------------------
 
     def shift(self, var: int, h: int) -> "MultiPoly":
-        """Shift operator E_var^h: substitutes k_var -> k_var + h."""
+        """Shift operator E_var^h: substitutes k_var -> k_var + h, re-expanding
+        k_var^e = sum_j C(e, j) h^(e - j) k_var^j."""
         if h == 0:
             return self
-        return self.substitute_affine(var, var, h)
+        return self.reexpand({var: lambda e: _shift_row(e, h)})
 
     def evaluate(self, values: Sequence[int]) -> int:
         """Exact value at the integer point values[v-1] = k_v; raises
@@ -537,34 +514,14 @@ class BinomialPoly:
     def __repr__(self):
         return f"BinomialPoly(arity={self.arity}, nterms={len(self.terms)})"
 
-    # -- substitution and evaluation ------------------------------------------
-
-    def substitute_affine(self, var: int, target: int, offset: int) -> "BinomialPoly":
-        """Substitute k_var -> k_target + offset; target may equal var.
-        Raises ValueError if an exponent of k_target would pass 255."""
-        sv, st = 8 * _index(var, self.arity), 8 * _index(target, self.arity)
-        terms: dict[int, int] = {}
-        moves: dict[int, list[tuple[int, int]]] = {}  # bytes a, b -> (j << st, factor)
-        for key, coef in self.terms.items():
-            a = (key >> sv) & 255
-            rest = key - (a << sv)
-            b = (rest >> st) & 255
-            rest -= b << st
-            steps = moves.get(a << 8 | b)
-            if steps is None:
-                _raised_past_limit(a + b, "the substitution")
-                row = _substitution_row(a, b, offset)
-                steps = moves[a << 8 | b] = [(j << st, factor) for j, factor in row]
-            for step, factor in steps:
-                new = rest + step
-                terms[new] = terms.get(new, 0) + coef * factor
-        return BinomialPoly._of(self.arity, terms)
+    # -- changes of variable and evaluation -----------------------------------
 
     def shift(self, var: int, h: int) -> "BinomialPoly":
-        """Shift operator E_var^h: substitutes k_var -> k_var + h."""
+        """Shift operator E_var^h: substitutes k_var -> k_var + h, re-expanding
+        C(k_var + h, e) = sum_j C(h, e - j) C(k_var, j) by Vandermonde."""
         if h == 0:
             return self
-        return self.substitute_affine(var, var, h)
+        return self.reexpand({var: lambda e: [binom(h, e - j) for j in range(e + 1)]})
 
     def specialize(self, assignment: Mapping[int, int]) -> "BinomialPoly":
         """Substitute the given variables by integer values, keeping the arity;

@@ -197,15 +197,17 @@ def test_unknown_subcommand_exits_two(capsys):
 # ---------------------------------------------------------------------------
 
 
-def run_process(*argv, env=None):
+def run_process(*argv, env=None, stdout=subprocess.PIPE, **options):
     src = os.path.dirname(os.path.dirname(os.path.abspath(asmlab.__file__)))
     full_env = dict(os.environ, PYTHONPATH=src, **(env or {}))
     proc = subprocess.run(
         [sys.executable, "-m", "asmlab.cli", *argv],
         env=full_env,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
+        **options,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -231,6 +233,36 @@ def test_term_cap_hit_names_the_construction():
     code, _, err = run_process("coeff", "--n", "5", env={"ASMLAB_TERM_CAP": "40"})
     assert_usage_error(code, err)
     assert "alpha_via_recursion(n=" in err
+
+
+# an empty PYTHONUNBUFFERED buffers stdout: count's one line fails only at the
+# flush, table's 19 KB already while printing
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "triangles", "--bottom", "1,2,4"), ("table", "--which", "a_nij", "--n", "20")],
+    ids=["count", "table"],
+)
+def test_closed_stdout_is_usage_error(argv, unbuffered):
+    # a pipe whose reader is gone, as after `| head -1`: every write fails
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        code, _, err = run_process(*argv, env={"PYTHONUNBUFFERED": unbuffered}, stdout=w)
+    finally:
+        os.close(w)
+    assert_usage_error(code, err)
+    assert len(err.splitlines()) == 1
+    assert "Exception ignored" not in err
+
+
+def test_no_stdout_at_all_keeps_the_exit_status():
+    # started with fd 1 closed, as by `>&-`: Python sets sys.stdout to None and
+    # print writes nothing
+    code, _, err = run_process(
+        "count", "triangles", "--bottom", "1,2,4", stdout=None, preexec_fn=lambda: os.close(1)
+    )
+    assert (code, err) == (0, "")
 
 
 def test_table_order_below_formula_range_is_usage_error():

@@ -23,7 +23,7 @@ from asmlab import (
     summation_operator,
     vandermonde,
 )
-from asmlab.polynomials import TERM_CAP_ENV, binom
+from asmlab.polynomials import TERM_CAP_ENV, _substitution_row, binom
 
 
 def poly_of(arity, terms):
@@ -112,7 +112,7 @@ def test_permute_and_negate():
 
 def test_substitute_and_specialize():
     p = poly_of(2, {(1, 1): Fraction(1)})
-    assert p.substitute_affine(1, 2, 5).evaluate([0, 3]) == 24  # (k_2 + 5) k_2
+    assert p.shift(1, 5).evaluate([0, 3]) == 15  # (k_1 + 5) k_2
     assert p.evaluate_int([4, 6]) == 24
     with pytest.raises((AssertionError, ArithmeticError, ValueError)):
         poly_of(1, {(1,): Fraction(1, 2)}).evaluate_int([1])
@@ -178,13 +178,9 @@ def test_products_and_substitutions_past_255_raise_instead_of_wrapping():
     assert (x200 * x55).exponent_terms() == {(255, 0): 1}
     with pytest.raises(ValueError, match="above 255"):
         x200 * mono(2, (56, 0))
-    # k_1 -> k_2 + h moves the exponent of k_1 onto k_2's
-    for poly in (mono(2, (200, 56)), BinomialPoly(2, {(200, 56): 1, (1, 1): 1})):
-        with pytest.raises(ValueError, match="above 255"):
-            poly.substitute_affine(1, 2, 3)
-    assert BinomialPoly(2, {(200, 55): 1}).substitute_affine(1, 2, 0).max_degree() == 255
     # a shift keeps every exponent, so even 255 shifts
     assert BinomialPoly(1, {(255,): 1}).shift(1, 2).max_degree() == 255
+    assert mono(2, (255, 1)).shift(1, -3).max_degree() == 255
     with pytest.raises(ValueError, match="above 255"):
         BinomialPoly(2, {(1, 0): 1}).reexpand({2: lambda e: [0] * 256 + [1]})
     with pytest.raises(ValueError, match="above 255"):
@@ -256,6 +252,8 @@ def test_cross_basis_inequality():
     b = BinomialPoly(2, {(1, 0): 1})
     assert b != mono(2, (0, 1)) and mono(2, (0, 1)) != b
     assert b != BinomialPoly(2, {(0, 1): 1})
+    # neither basis compares equal to a bare int, not even the zero polynomial
+    assert MultiPoly(2) != 0 and BinomialPoly(2) != 0
 
 
 @given(small_binomial_polys(), st.integers(1, 3), st.integers(-6, 6))
@@ -263,10 +261,26 @@ def test_binomial_shift(b, var, h):
     assert b.shift(var, h) == b.to_multipoly().shift(var, h)
 
 
-@given(small_binomial_polys(), st.integers(-3, 3))
-def test_binomial_substitution_into_present_variable(b, h):
-    # k_1 -> k_2 + h multiplies binomials in the same variable k_2
-    assert b.substitute_affine(1, 2, h) == b.to_multipoly().substitute_affine(1, 2, h)
+@pytest.mark.parametrize("power", [False, True], ids=["binomial", "power"])
+@given(
+    b=small_binomial_polys(),
+    var=st.integers(1, 3),
+    h=st.integers(-6, 6),
+    point=st.lists(st.integers(-7, 7), min_size=3, max_size=3),
+)
+def test_shift_evaluates_at_the_shifted_point(power, b, var, h, point):
+    # E_var^h p at x is p at x + h e_var, evaluated without any shift row
+    p = b.to_multipoly() if power else b
+    moved = list(point)
+    moved[var - 1] += h
+    assert p.shift(var, h).evaluate(point) == p.evaluate(moved)
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(-6, 6))
+def test_substitution_row_is_a_product_of_binomials(a, b, h):
+    # the row apply_sigma substitutes: C(y + h, a) C(y, b) in the basis C(y, j)
+    row = BinomialPoly(1, {(j,): c for j, c in _substitution_row(a, b, h)})
+    assert row == binomial_in_var(1, 1, h, a) * binomial_in_var(1, 1, 0, b)
 
 
 @given(small_binomial_polys())
