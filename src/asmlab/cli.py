@@ -6,7 +6,8 @@ across runs for identical arguments.  Exit status: 0 success / all checks
 pass, 1 verification failure, 2 usage error (bad arguments or input files, a
 malformed ASMLAB_TERM_CAP, a polynomial outgrowing that cap, or a stdout closed
 before all output was written, as by `| head -1`), 3 any other error; an error
-prints one `error:` line on stderr and no traceback.
+prints one `error:` line on stderr and no traceback.  A closed stderr drops
+warnings and the `error:` line and changes no exit status.
 """
 
 from __future__ import annotations
@@ -39,9 +40,20 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
 
 
+def _stderr(line: str) -> None:
+    """Print one line on stderr.  A closed stderr drops it, so the exit status
+    still tells what happened."""
+    if sys.stderr is None:  # started with no stderr at all
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _warn(args, message: str) -> None:
     if not args.quiet:
-        print(f"warning: {message}", file=sys.stderr)
+        _stderr(f"warning: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.n_max > EXHAUSTIVE_FAMILY_CAP and not args.quiet:
-        print(
-            f"warning: exhaustive verification beyond n={EXHAUSTIVE_FAMILY_CAP} may be very slow",
-            file=sys.stderr,
-        )
+    if args.command == "verify" and args.n_max > EXHAUSTIVE_FAMILY_CAP:
+        _warn(args, f"exhaustive verification beyond n={EXHAUSTIVE_FAMILY_CAP} may be very slow")
     try:
         if args.jobs < 1:
             raise UsageError("--jobs must be positive")
@@ -300,13 +309,13 @@ def main(argv=None) -> int:
         # the reader closed stdout; output still buffered goes to devnull, so
         # the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before all output was written", file=sys.stderr)
+        _stderr("error: stdout was closed before all output was written")
         return USAGE_ERROR
     except (UsageError, TermCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return USAGE_ERROR
     except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _stderr(f"error: {type(exc).__name__}: {exc}")
         return INTERNAL_ERROR
 
 

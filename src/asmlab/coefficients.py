@@ -10,7 +10,9 @@ alpha_n is held in the binomial basis, where the differences are index
 moves: Delta^m C(x, e) = C(x, e - m) and nabla^m C(x, e) = C(x - m, e - m).
 A coefficient is then one pass over the terms, and a coefficient table one
 basis change per axis.  The identity checks read whole tables; the single
-cell serves `asmlab coeff`.  The re-expansion check works in the power basis.
+cell serves `asmlab coeff`.  The re-expansion check stays in the same basis:
+it rebuilds alpha_n from a table through the paper's basis polynomials,
+re-expanded by Vandermonde's convolution, so it shares no row with the table.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb
 from operator import index
 from typing import Sequence
 
@@ -29,13 +31,7 @@ from .enumeration import (
     index_tuples,
     special_point,
 )
-from .polynomials import (
-    BinomialPoly,
-    MultiPoly,
-    alpha_via_recursion,
-    binom,
-    binomial_in_var,
-)
+from .polynomials import BinomialPoly, alpha_via_recursion, binom
 from .reports import VerificationReport
 
 
@@ -139,39 +135,30 @@ def coefficient_table(n: int, c: int, d: int) -> CoefficientTable:
 
 
 def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
-    """Reassemble the binomial-basis expansion from the table in the power
-    basis and compare it term-for-term with the specialized alpha_n."""
+    """Reassemble the specialized alpha_n from the table and compare it term
+    for term with the one the table was read from.
+
+    Each cell weighs the paper's basis polynomials: (-1)^m C(k - c - 1, m) on
+    the axis of an s index, C(k - n + d - 1 + m, m) on the axis of an i index,
+    with m one less than the index.  Vandermonde's convolution re-expands
+    them in C(k, t): (-1)^m C(k - c - 1, m) = (-1)^m sum_t C(-c - 1, m - t)
+    C(k, t), and C(k - n + d - 1 + m, m) = sum_t C(m - n + d - 1, m - t) C(k, t).
+    """
     n, c, d = table.n, table.c, table.d
-    report = VerificationReport(
-        "expansion-reconstruction", f"n={n}, c={c}, d={d}"
-    )
-    # scale clears every denominator: m! divides (n-1)!
-    scale = factorial(n - 1)
-
-    def power_row(offset: int, m: int, sign: int) -> list[int]:
-        """Power-basis coefficients of sign^m C(k + offset, m), times scale."""
-        poly = binomial_in_var(1, 1, offset, m)
-        row = [0] * (m + 1)
-        for (e,), coef in poly.exponent_terms().items():
-            row[e] = sign**m * scale * coef // poly.denominator
-        return row
-
-    # entry j on a differenced axis is the difference power m = j - 1; the
-    # pinned middle variables keep exponent 0
+    report = VerificationReport("expansion-reconstruction", f"n={n}, c={c}, d={d}")
+    # entry j on a differenced axis is the index m + 1; the pinned middle
+    # variables keep exponent 0
     middle = (0,) * (n - c - d)
     grid = {s[::-1] + middle + i: value for (s, i), value in table.values.items() if value}
     rows = {}
-    for l in range(1, c + 1):  # (-1)^m C(k_l - c - 1, m) with m = s_{c+1-l} - 1
-        rows[l] = lambda j: power_row(-c - 1, j - 1, -1)
-    for var in range(n - d + 1, n + 1):  # C(k_var - n + d - 1 + m, m) with m = i_l - 1, l = var - n + d
-        rows[var] = lambda j: power_row(j - n + d - 2, j - 1, 1)
-    total = MultiPoly(n, grid, scale ** (c + d)).reexpand(rows)
-    target = _specialized_alpha(n, c, d).to_multipoly()
-    # target = total as rationals: numerator times the other's denominator
-    target_terms, total_terms = target.exponent_terms(), total.exponent_terms()
-    for exps in sorted(target_terms.keys() | total_terms.keys()):
-        expected = target_terms.get(exps, 0) * total.denominator
-        report.record(f"term {exps}", expected, total_terms.get(exps, 0) * target.denominator)
+    for var in range(1, c + 1):
+        rows[var] = lambda j: [(-1) ** (j - 1) * binom(-c - 1, j - 1 - t) for t in range(j)]
+    for var in range(n - d + 1, n + 1):
+        rows[var] = lambda j: [binom(j - n + d - 2, j - 1 - t) for t in range(j)]
+    total = BinomialPoly(n, grid).reexpand(rows).exponent_terms()
+    target = _specialized_alpha(n, c, d).exponent_terms()
+    for exps in sorted(target.keys() | total.keys()):
+        report.record(f"term {exps}", target.get(exps, 0), total.get(exps, 0))
     return report
 
 

@@ -1,46 +1,47 @@
-"""Sparse exact multivariate polynomials in two bases.
+"""Sparse exact multivariate polynomials in the integer binomial basis.
 
-`MultiPoly` stores a polynomial in k_1, ..., k_n in the power basis
-prod_v k_v^e_v as `int` numerators over one positive `int` denominator, in
-lowest terms.  `BinomialPoly` stores an integer-valued polynomial in the
-binomial basis prod_v C(k_v, e_v) with `int` coefficients.  In that basis the
-forward difference Delta_v lowers e_v by one and the antidifference raises it
-by one, so the summation calculus needs no denominator at all.
+`BinomialPoly` stores an integer-valued polynomial in k_1, ..., k_n as
+sum_e a_e prod_v C(k_v, e_v) with `int` coefficients.  In that basis the
+forward difference Delta_v lowers e_v by one, a shift E_v^h re-expands
+C(k_v + h, e) = sum_j C(h, e - j) C(k_v, j) by Vandermonde's convolution, and
+the antidifference raises e_v by one, so the calculus needs no denominator.
+The representation is unique, so two polynomials are equal exactly when their
+terms are.
 
 The triangle-counting polynomial alpha_n(k_1, ..., k_n) is built two
-independent ways: by the summation-operator recursion in the binomial basis
-(authoritative) and by applying a product of shift-operator factors to a
-normalized Vandermonde product in the power basis (cross-check).  The two
-compare across bases: `BinomialPoly == MultiPoly` converts to the power basis.
-The Vandermonde product, the operator product and that conversion compute on
-integer numerators over one known denominator, and hand both to `MultiPoly`.
+independent ways: by the summation-operator recursion (authoritative) and by
+Fischer's operator formula, prod_{p<q} (id + E_p Delta_q) applied to the
+Vandermonde product prod_{i<j} (k_j - k_i) / (j - i) = det[C(k_i, j - 1)]
+(cross-check).  The two share the basis and the axis kernel, not a
+construction, and compare term for term.
 
 Variables are 1-based throughout (k_1 is variable 1).  No zero coefficient is
 ever stored.
 
-Exponent keys.  Both classes key a term by its exponent vector (e_1, ..., e_n)
+Exponent keys.  A term is keyed by its exponent vector (e_1, ..., e_n)
 packed into one `int`, int.from_bytes(bytes(e), "little"): byte v-1 holds e_v,
 so every exponent lies in 0..MAX_EXPONENT = 255, and key.to_bytes(n, "little")
 unpacks it.  The kernels do digit arithmetic on keys: pinning k_v subtracts
 e_v << 8(v-1), a shift or a basis change on one axis adds j << 8(v-1) to the
-rest of the key, a product adds keys, and `extend_arity` keeps every key.
-The constructors take {exponent tuple: coefficient}, pack it, and reject a
+rest of the key, and `extend_arity` keeps every key.
+The constructor takes {exponent tuple: coefficient}, packs it, and rejects a
 wrong length or an exponent outside 0..255 with ValueError; `exponent_terms()`
 reads the terms back as tuples.  The encoding stays inside this module.
 
 The carry guard: an exponent above 255 would carry into its neighbour's byte.
-So every kernel that raises exponents (`apply_sigma`, `MultiPoly` products,
-the Vandermonde product and a re-expansion row past index 255) first checks
-the bound from a degree it already knows and raises ValueError; it never wraps
-silently.  A shift is a re-expansion whose row for exponent e ends at index e,
-so it never raises an exponent.
+So every kernel that raises exponents (`apply_sigma`, the Vandermonde product
+and a re-expansion row past index 255) first checks the bound from a degree
+it already knows and raises ValueError; it never wraps silently.  A shift is
+a re-expansion whose row for exponent e ends at index e, and a difference
+lowers an exponent, so neither raises one.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache, partial, wraps
-from math import comb, factorial, gcd, lcm, prod
+from itertools import combinations, permutations
+from math import comb, factorial, prod
 from operator import getitem, itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -139,15 +140,6 @@ def _packed_terms(arity: int, terms: Mapping[tuple[int, ...], int] | None) -> di
     return clean
 
 
-def _unpacked(terms: Mapping[int, int], arity: int) -> dict[tuple[int, ...], int]:
-    return {tuple(key.to_bytes(arity, "little")): coef for key, coef in terms.items()}
-
-
-def _max_exponent(terms: Mapping[int, int], arity: int) -> int:
-    """Largest exponent of any variable; 0 for constants and zero."""
-    return max(b"".join(key.to_bytes(arity, "little") for key in terms), default=0)
-
-
 def _raised_past_limit(top: int, what: str) -> None:
     """The carry guard: refuse a kernel that could raise an exponent to `top`."""
     if top > MAX_EXPONENT:
@@ -232,173 +224,6 @@ class _LazyRow(dict):
         return entry
 
 
-def _permuted(terms: Mapping[int, int], arity: int, new_position: Sequence[int]) -> dict[int, int]:
-    """Move the exponent of variable v to variable new_position[v-1]."""
-    if sorted(new_position) != list(range(1, arity + 1)):
-        raise ValueError("not a permutation of 1..arity")
-    if arity < 2:
-        return dict(terms)
-    pick = itemgetter(*sorted(range(arity), key=lambda v: new_position[v]))
-    return {
-        int.from_bytes(bytes(pick(key.to_bytes(arity, "little"))), "little"): coef
-        for key, coef in terms.items()
-    }
-
-
-def _reexpanded(terms: Mapping[int, int], arity: int, rows: Mapping[int, Callable]) -> dict[int, int]:
-    """`axis_transform` on each variable v of `rows` with the row rows[v]."""
-    for var, row in rows.items():
-        terms = axis_transform(terms, _index(var, arity), row)
-    return terms
-
-
-class MultiPoly:
-    """Polynomial (sum_e terms[e] prod_v k_v^e_v) / denominator in
-    k_1..k_arity: `int` numerators over one positive `int` denominator, in
-    lowest terms, so equal polynomials have equal terms and denominator.
-    `terms` is keyed by packed exponents (see the module docstring)."""
-
-    __slots__ = ("arity", "terms", "denominator")
-
-    def __init__(
-        self, arity: int, terms: Mapping[tuple[int, ...], int] | None = None, denominator: int = 1
-    ):
-        if denominator < 1:
-            raise ValueError(f"denominator must be positive, got {denominator}")
-        self._set(arity, _packed_terms(arity, terms), denominator)
-
-    @classmethod
-    def _of(cls, arity: int, terms: dict[int, int], denominator: int = 1) -> "MultiPoly":
-        """Wrap a packed term dict built by a kernel of this module, dropping
-        zeros and reducing to lowest terms."""
-        clean = {e: c for e, c in terms.items() if c}
-        _check_cap(len(clean))
-        poly = cls.__new__(cls)
-        poly._set(arity, clean, denominator)
-        return poly
-
-    def _set(self, arity: int, clean: dict[int, int], denominator: int) -> None:
-        common = gcd(denominator, *clean.values())
-        if common > 1:
-            clean = {e: c // common for e, c in clean.items()}
-        self.arity = arity
-        self.terms = clean
-        self.denominator = denominator // common
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity: int) -> "MultiPoly":
-        return cls(arity)
-
-    @classmethod
-    def constant(cls, arity: int, value: int) -> "MultiPoly":
-        return cls(arity, {(0,) * arity: value})
-
-    @classmethod
-    def variable(cls, arity: int, var: int) -> "MultiPoly":
-        return cls._of(arity, {1 << 8 * _index(var, arity): 1})
-
-    def exponent_terms(self) -> dict[tuple[int, ...], int]:
-        """The numerators as {exponent tuple: int}."""
-        return _unpacked(self.terms, self.arity)
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        if other.arity != self.arity:
-            raise ValueError("arity mismatch")
-        denominator = lcm(self.denominator, other.denominator)
-        mine, theirs = denominator // self.denominator, denominator // other.denominator
-        terms = {e: c * mine for e, c in self.terms.items()}
-        for exps, coef in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coef * theirs
-        return MultiPoly._of(self.arity, terms, denominator)
-
-    def __neg__(self) -> "MultiPoly":
-        return self.scale(-1)
-
-    def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, int):
-            return self.scale(other)
-        if other.arity != self.arity:
-            raise ValueError("arity mismatch")
-        _raised_past_limit(self.max_degree() + other.max_degree(), "the product")
-        terms: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = e1 + e2
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return MultiPoly._of(self.arity, terms, self.denominator * other.denominator)
-
-    def scale(self, factor: int) -> "MultiPoly":
-        return MultiPoly._of(self.arity, {e: c * factor for e, c in self.terms.items()}, self.denominator)
-
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            return other
-        return MultiPoly.constant(self.arity, other)
-
-    # -- structure ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (self.arity, self.denominator, self.terms) == (other.arity, other.denominator, other.terms)
-
-    def max_degree(self) -> int:
-        """Largest exponent of any variable; 0 for constants and zero."""
-        return _max_exponent(self.terms, self.arity)
-
-    def __repr__(self):
-        return f"MultiPoly(arity={self.arity}, nterms={len(self.terms)}, denominator={self.denominator})"
-
-    # -- changes of variable and evaluation ---------------------------------
-
-    def shift(self, var: int, h: int) -> "MultiPoly":
-        """Shift operator E_var^h: substitutes k_var -> k_var + h, re-expanding
-        k_var^e = sum_j C(e, j) h^(e - j) k_var^j."""
-        if h == 0:
-            return self
-        return self.reexpand({var: lambda e: _shift_row(e, h)})
-
-    def evaluate(self, values: Sequence[int]) -> int:
-        """Exact value at the integer point values[v-1] = k_v; raises
-        ArithmeticError when the value is not an integer."""
-        if len(values) != self.arity:
-            raise ValueError("assignment length does not match arity")
-        total = _contract(self.terms, [_LazyRow(partial(pow, x)) for x in values])
-        value, rest = divmod(total, self.denominator)
-        if rest:
-            raise ArithmeticError(f"expected integer value, got {total}/{self.denominator}")
-        return value
-
-    evaluate_int = evaluate
-
-    def permute_positions(self, new_position: Sequence[int]) -> "MultiPoly":
-        """Move the exponent of variable v to variable new_position[v-1]."""
-        return MultiPoly._of(self.arity, _permuted(self.terms, self.arity, new_position), self.denominator)
-
-    def negate_variables(self) -> "MultiPoly":
-        """Substitute k_v -> -k_v for every variable."""
-        arity = self.arity
-        return MultiPoly._of(
-            arity,
-            {e: -c if sum(e.to_bytes(arity, "little")) % 2 else c for e, c in self.terms.items()},
-            self.denominator,
-        )
-
-    def reexpand(self, rows: Mapping[int, Callable[[int], Sequence[int]]]) -> "MultiPoly":
-        """Re-expand the numerators on each variable v of `rows`: a term with
-        exponent e on v moves to exponent j with factor rows[v](e)[j].  The
-        denominator is kept."""
-        return MultiPoly._of(self.arity, _reexpanded(self.terms, self.arity, rows), self.denominator)
-
-
 def _index(var: int, arity: int) -> int:
     if not 1 <= var <= arity:
         raise ValueError(f"variable {var} out of range 1..{arity}")
@@ -415,20 +240,14 @@ def binom(x: int, e: int) -> int:
     return -value if e % 2 else value
 
 
-@lru_cache(maxsize=64)
-def _falling_factorial_row(e: int) -> tuple[int, ...]:
-    """e! C(x, e) = x(x-1)...(x-e+1) = sum_p row[p] x^p; the row holds the
-    signed Stirling numbers of the first kind s(e, p)."""
-    coeffs = [1]
-    for t in range(e):
-        coeffs = [a - t * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    return tuple(coeffs)
+def _difference_row(e: int) -> list[int]:
+    """Delta C(x, e) = C(x, e - 1): entry e - 1 is 1; Delta C(x, 0) = 0."""
+    return [0] * (e - 1) + [1] if e else []
 
 
-@lru_cache(maxsize=256)
-def _shift_row(e: int, h: int) -> tuple[int, ...]:
-    """(x + h)^e = sum_m row[m] x^m, with row[m] = C(e, m) h^(e - m)."""
-    return tuple(comb(e, m) * h ** (e - m) for m in range(e + 1))
+def _translation_row(e: int, h: int) -> list[int]:
+    """C(x + h, e) = sum_j row[j] C(x, j), row[j] = C(h, e - j), by Vandermonde."""
+    return [binom(h, e - j) for j in range(e + 1)]
 
 
 @lru_cache(maxsize=64)
@@ -476,22 +295,8 @@ class BinomialPoly:
 
     def exponent_terms(self) -> dict[tuple[int, ...], int]:
         """The coefficients as {exponent tuple: int}."""
-        return _unpacked(self.terms, self.arity)
-
-    # -- conversion to the power basis ----------------------------------------
-
-    def to_multipoly(self) -> MultiPoly:
-        """The same polynomial in the power basis.  C(x, e) = (top! / e!)
-        e! C(x, e) / top!: integer rows on every axis over one denominator
-        top!^arity."""
-        top = factorial(self.max_degree())
-
-        def row(e: int) -> list[int]:
-            weight = top // factorial(e)
-            return [weight * s for s in _falling_factorial_row(e)]
-
-        terms = _reexpanded(self.terms, self.arity, dict.fromkeys(range(1, self.arity + 1), row))
-        return MultiPoly._of(self.arity, terms, top**self.arity)
+        arity = self.arity
+        return {tuple(key.to_bytes(arity, "little")): coef for key, coef in self.terms.items()}
 
     # -- ring operations ------------------------------------------------------
 
@@ -501,15 +306,13 @@ class BinomialPoly:
     # -- structure --------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, BinomialPoly):
-            return self.arity == other.arity and self.terms == other.terms
-        if isinstance(other, MultiPoly):
-            return self.to_multipoly() == other
-        return NotImplemented
+        if not isinstance(other, BinomialPoly):
+            return NotImplemented
+        return self.arity == other.arity and self.terms == other.terms
 
     def max_degree(self) -> int:
         """Largest exponent of any variable; 0 for constants and zero."""
-        return _max_exponent(self.terms, self.arity)
+        return max(b"".join(key.to_bytes(self.arity, "little") for key in self.terms), default=0)
 
     def __repr__(self):
         return f"BinomialPoly(arity={self.arity}, nterms={len(self.terms)})"
@@ -521,7 +324,7 @@ class BinomialPoly:
         C(k_var + h, e) = sum_j C(h, e - j) C(k_var, j) by Vandermonde."""
         if h == 0:
             return self
-        return self.reexpand({var: lambda e: [binom(h, e - j) for j in range(e + 1)]})
+        return self.reexpand({var: partial(_translation_row, h=h)})
 
     def specialize(self, assignment: Mapping[int, int]) -> "BinomialPoly":
         """Substitute the given variables by integer values, keeping the arity;
@@ -551,17 +354,31 @@ class BinomialPoly:
 
     def permute_positions(self, new_position: Sequence[int]) -> "BinomialPoly":
         """Move the exponent of variable v to variable new_position[v-1]."""
-        return BinomialPoly._of(self.arity, _permuted(self.terms, self.arity, new_position))
+        arity = self.arity
+        if sorted(new_position) != list(range(1, arity + 1)):
+            raise ValueError("not a permutation of 1..arity")
+        if arity < 2:
+            return self
+        pick = itemgetter(*sorted(range(arity), key=lambda v: new_position[v]))
+        return BinomialPoly._of(
+            arity,
+            {
+                int.from_bytes(bytes(pick(key.to_bytes(arity, "little"))), "little"): coef
+                for key, coef in self.terms.items()
+            },
+        )
 
     def negate_variables(self) -> "BinomialPoly":
         """Substitute k_v -> -k_v for every variable."""
-        rows = dict.fromkeys(range(1, self.arity + 1), _negation_row)
-        return BinomialPoly._of(self.arity, _reexpanded(self.terms, self.arity, rows))
+        return self.reexpand(dict.fromkeys(range(1, self.arity + 1), _negation_row))
 
     def reexpand(self, rows: Mapping[int, Callable[[int], Sequence[int]]]) -> "BinomialPoly":
         """Re-expand the coefficients on each variable v of `rows`: a term
         with exponent e on v moves to exponent j with factor rows[v](e)[j]."""
-        return BinomialPoly._of(self.arity, _reexpanded(self.terms, self.arity, rows))
+        terms = self.terms
+        for var, row in rows.items():
+            terms = axis_transform(terms, _index(var, self.arity), row)
+        return BinomialPoly._of(self.arity, terms)
 
     def extend_arity(self, arity: int) -> "BinomialPoly":
         """Reinterpret in a larger ring; new trailing variables are unused, so
@@ -572,42 +389,25 @@ class BinomialPoly:
 
 
 @partial(_names_cap_hits, name="vandermonde")
-def _vandermonde_numerators(n: int) -> tuple[dict[int, int], int]:
-    """prod_{i<j} (k_j - k_i) as {packed exponent key: int}, and its
-    normalizing denominator D = prod_{i<j} (j - i).  A cap hit is tagged
-    vandermonde(n)."""
+def vandermonde(n: int) -> BinomialPoly:
+    """The normalized Vandermonde product prod_{i<j} (k_j - k_i) / (j - i).
+
+    It is det[C(k_i, j - 1)]: column operations reduce column j to
+    k_i^(j-1) / (j-1)!, and prod_j (j-1)! = prod_{i<j} (j - i).  So it has one
+    term per permutation sigma of 0..n-1, C(k_1, sigma_1) ... C(k_n, sigma_n)
+    with the sign of sigma.  The carry guard and the term cap are
+    checked before any permutation is enumerated; a cap hit is tagged
+    vandermonde(n).
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    # each k_v is in n - 1 factors
     _raised_past_limit(n - 1, f"vandermonde({n})")
-    terms = {0: 1}
-    for i in range(n):
-        for j in range(i + 1, n):
-            # times k_j - k_i: raise the exponent of k_j, or of k_i with a minus sign
-            step: dict[int, int] = {}
-            for e, c in terms.items():
-                for raised, coef in ((e + (1 << 8 * j), c), (e + (1 << 8 * i), -c)):
-                    step[raised] = step.get(raised, 0) + coef
-            terms = {e: c for e, c in step.items() if c}
-            _check_cap(len(terms))
-    return terms, prod(j - i for i in range(n) for j in range(i + 1, n))
-
-
-def vandermonde(n: int) -> MultiPoly:
-    """The normalized Vandermonde product over (k_j - k_i) / (j - i)."""
-    return MultiPoly._of(n, *_vandermonde_numerators(n))
-
-
-def binomial_in_var(arity: int, var: int, offset: int, m: int) -> MultiPoly:
-    """C(k_var + offset, m) expanded as a polynomial: the product of the
-    linear factors k_var + offset - t over t < m, over m!."""
-    if m < 0:
-        return MultiPoly.zero(arity)
-    poly = MultiPoly.constant(arity, 1)
-    x = MultiPoly.variable(arity, var)
-    for t in range(m):
-        poly = poly * (x + (offset - t))
-    return MultiPoly._of(arity, poly.terms, factorial(m))
+    _check_cap(factorial(n))
+    terms = {}
+    for sigma in permutations(range(n)):
+        inversions = sum(a > b for a, b in combinations(sigma, 2))
+        terms[int.from_bytes(bytes(sigma), "little")] = -1 if inversions % 2 else 1
+    return BinomialPoly._of(n, terms)
 
 
 def apply_sigma(poly: BinomialPoly, lo: int, hi: int) -> BinomialPoly:
@@ -698,16 +498,17 @@ def alpha_via_recursion(n: int) -> BinomialPoly:
 
 
 @_names_cap_hits
-def alpha_via_operator(n: int, variant: str = PRODUCTION_ALPHA_VARIANT) -> MultiPoly:
+def alpha_via_operator(n: int, variant: str = PRODUCTION_ALPHA_VARIANT) -> BinomialPoly:
     """alpha_n from the shift-operator product applied to vandermonde(n).
 
-    Each pair factor is id + E_outer^h (E_inner - id), applied to the
-    integer numerators of vandermonde(n) over D = prod_{i<j} (j - i).  The
-    factors commute, so the application order over pairs is irrelevant.
+    Each pair factor is id + E_outer^h Delta_inner: one pass lowers the
+    inner axis by the difference row, one re-expands the outer axis by the
+    shift row, and the operand is added back.  The factors commute, so the
+    application order over pairs is irrelevant.
     """
     if variant not in ALPHA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {ALPHA_VARIANTS}")
-    terms, denominator = _vandermonde_numerators(n)
+    terms = vandermonde(n).terms
     for p in range(1, n + 1):
         for q in range(p + 1, n + 1):
             outer, h, inner = {
@@ -715,14 +516,13 @@ def alpha_via_operator(n: int, variant: str = PRODUCTION_ALPHA_VARIANT) -> Multi
                 "pair_minus_Ep": (p, 1, q),
                 "inverse_form": (p, -1, q),
             }[variant]
-            # (x + 1)^e - x^e drops the last entry of the shift row
-            diff = axis_transform(terms, inner - 1, lambda e: _shift_row(e, 1)[:-1])
-            step = axis_transform(diff, outer - 1, lambda e: _shift_row(e, h))
+            diff = axis_transform(terms, inner - 1, _difference_row)
+            step = axis_transform(diff, outer - 1, partial(_translation_row, h=h))
             for e, c in terms.items():
                 step[e] = step.get(e, 0) + c
             terms = {e: c for e, c in step.items() if c}
             _check_cap(len(terms))
-    return MultiPoly._of(n, terms, denominator)
+    return BinomialPoly._of(n, terms)
 
 
 def select_operator_variants(n_max: int = 5) -> list[str]:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import asmlab
+from asmlab import cli
 from asmlab.cli import main
 from asmlab.reports import decimal
 
@@ -197,14 +198,14 @@ def test_unknown_subcommand_exits_two(capsys):
 # ---------------------------------------------------------------------------
 
 
-def run_process(*argv, env=None, stdout=subprocess.PIPE, **options):
+def run_process(*argv, env=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **options):
     src = os.path.dirname(os.path.dirname(os.path.abspath(asmlab.__file__)))
     full_env = dict(os.environ, PYTHONPATH=src, **(env or {}))
     proc = subprocess.run(
         [sys.executable, "-m", "asmlab.cli", *argv],
         env=full_env,
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         text=True,
         timeout=120,
         **options,
@@ -254,6 +255,40 @@ def test_closed_stdout_is_usage_error(argv, unbuffered):
     assert_usage_error(code, err)
     assert len(err.splitlines()) == 1
     assert "Exception ignored" not in err
+
+
+def run_without_stderr(*argv):
+    """Exit status and stdout of a process started with fd 2 closed, as by `2>&-`."""
+    code, out, _ = run_process(*argv, stderr=None, preexec_fn=lambda: os.close(2))
+    return code, out
+
+
+def test_closed_stderr_keeps_the_usage_error_status():
+    assert run_without_stderr("count", "triangles", "--bottom", "1,x") == (2, "")
+
+
+def test_closed_stderr_drops_the_warning_and_counts():
+    # nine entries are past SINGLE_COUNT_CAP, so a warning goes to the closed stderr
+    assert run_without_stderr("count", "triangles", "--bottom", "1,2,3,4,5,6,7,8,9") == (0, "911835460\n")
+
+
+class ClosedStream:
+    """A stderr whose every write fails, as on a closed fd 2."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+    def flush(self):
+        raise OSError(9, "Bad file descriptor")
+
+
+def test_verify_warning_on_a_closed_stderr_does_not_stop_the_run(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "EXHAUSTIVE_FAMILY_CAP", 1)
+    monkeypatch.setattr(sys, "stderr", ClosedStream())
+    code = main(["verify", "--suite", "theorem7", "--n-max", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "theorem7 n=1 c=0 d=0: pass" and len(lines) == 3 + 6
 
 
 def test_no_stdout_at_all_keeps_the_exit_status():

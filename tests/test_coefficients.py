@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from asmlab import (
+    CoefficientTable,
     GammaSpec,
     IndexTuplePair,
     check_circuit,
@@ -179,10 +180,21 @@ def test_whole_polynomial_checks_count_their_cases():
     cyclic = check_cyclic(3)
     assert cyclic.passed() and cyclic.cases == 1
     assert check_reflection_translation(3, 5).cases == 2
-    # one case per power-basis term of the specialized alpha_4
+    # one case per binomial-basis term of the specialized alpha_4
     reconstruction = reconstruct_expansion(coefficient_table(4, 1, 1))
     assert reconstruction.passed()
-    assert reconstruction.cases == len(_specialized_alpha(4, 1, 1).to_multipoly().terms)
+    assert reconstruction.cases == len(_specialized_alpha(4, 1, 1).terms)
+
+
+@pytest.mark.parametrize("n,c,d", [(2, 1, 1), (3, 0, 3), (3, 2, 1), (4, 0, 2), (4, 1, 1)])
+def test_reconstruction_fails_on_a_table_with_one_cell_off(n, c, d):
+    # the basis polynomials are independent, so no single cell can move unseen
+    table = coefficient_table(n, c, d)
+    for cell in table.values:
+        changed = dict(table.values)
+        changed[cell] += 1
+        report = reconstruct_expansion(CoefficientTable(n, c, d, changed))
+        assert report.status == "fail" and report.counterexamples, cell
 
 
 @pytest.mark.parametrize("z", [-3, 1, 5])

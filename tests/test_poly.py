@@ -1,8 +1,9 @@
 """Sparse exact polynomial engine and the triangle-counting polynomial."""
 
-import os
 from fractions import Fraction
-from math import lcm, prod
+from functools import lru_cache
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given
@@ -12,39 +13,37 @@ from asmlab import (
     ALPHA_VARIANTS,
     PRODUCTION_ALPHA_VARIANT,
     BinomialPoly,
-    MultiPoly,
     TermCapExceeded,
     alpha_via_operator,
     alpha_via_recursion,
     apply_sigma,
-    binomial_in_var,
     count_triangles,
     select_operator_variants,
     summation_operator,
     vandermonde,
 )
-from asmlab.polynomials import TERM_CAP_ENV, _substitution_row, binom
+from asmlab.polynomials import TERM_CAP_ENV, _difference_row, _substitution_row, _translation_row
 
 
-def poly_of(arity, terms):
-    """MultiPoly from int or Fraction coefficients, as numerators over their
-    least common denominator."""
-    denominator = lcm(*(Fraction(c).denominator for c in terms.values()))
-    return MultiPoly(arity, {e: int(c * denominator) for e, c in terms.items()}, denominator)
+@lru_cache(maxsize=4096)
+def scalar_binomial(x, e):
+    """C(x, e) = x(x-1)...(x-e+1) / e! for any integer x, from `math` alone."""
+    return prod(range(x - e + 1, x + 1)) // factorial(e) if e >= 0 else 0
 
 
-def mono(arity, exps, coef=1):
-    return poly_of(arity, {tuple(exps): coef})
+def value_at(poly, point):
+    """The BinomialPoly at an integer point, term by term with scalar_binomial:
+    an oracle that shares no kernel with the package's evaluation."""
+    return sum(
+        coef * prod(scalar_binomial(x, e) for x, e in zip(point, exps))
+        for exps, coef in poly.exponent_terms().items()
+    )
 
 
-@st.composite
-def small_polys(draw, arity=3, max_deg=3):
-    n_terms = draw(st.integers(0, 5))
-    terms = {}
-    for _ in range(n_terms):
-        exps = tuple(draw(st.integers(0, max_deg)) for _ in range(arity))
-        terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
-    return poly_of(arity, terms)
+def grid(arity, size):
+    """{0..size-1}^arity: a polynomial of degree below size in each variable
+    is determined by its values there."""
+    return product(range(size), repeat=arity)
 
 
 @st.composite
@@ -62,85 +61,85 @@ def small_binomial_polys(draw, arity=3, max_deg=4):
 # ---------------------------------------------------------------------------
 
 
-def test_ring_basics():
-    x = mono(2, (1, 0))
-    y = mono(2, (0, 1))
-    p = (x + y) * (x - y)
-    assert p == x * x - y * y
-    assert p.evaluate([3, 2]) == 5
-
-
 def test_zero_terms_are_dropped():
-    x = mono(1, (1,))
-    assert not (x - x).terms
+    x = BinomialPoly(1, {(1,): 3, (0,): 0})
+    assert x.exponent_terms() == {(1,): 3}
+    assert not x.scale(0).terms
 
 
-@given(small_polys(), small_polys())
-def test_addition_commutes(p, q):
-    assert p + q == q + p
-
-
-@given(
-    small_binomial_polys().map(BinomialPoly.to_multipoly),
-    small_binomial_polys().map(BinomialPoly.to_multipoly),
-)
-def test_multiplication_evaluates_pointwise(p, q):
-    point = [2, -1, 3]
-    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
-
-
-@given(small_polys(), st.integers(-5, 5))
-def test_shift_inverse_pair(p, a):
-    assert p.shift(2, a).shift(2, -a) == p
+@given(small_binomial_polys(), st.integers(-5, 5))
+def test_shift_inverse_pair(b, a):
+    assert b.shift(2, a).shift(2, -a) == b
 
 
 def test_difference_of_binomials():
-    # Pascal's rule through shifts: C(k+1, 2) - C(k, 2) = C(k, 1), C(k, 1) - C(k-1, 1) = 1
-    c2 = binomial_in_var(1, 1, 0, 2)
-    c1 = binomial_in_var(1, 1, 0, 1)
-    assert c2.shift(1, 1) - c2 == c1
-    assert c1 - c1.shift(1, -1) == MultiPoly.constant(1, 1)
+    # Pascal's rule through shifts: C(k+1, 2) = C(k, 2) + C(k, 1), C(k-1, 1) = C(k, 1) - 1
+    assert BinomialPoly(1, {(2,): 1}).shift(1, 1) == BinomialPoly(1, {(2,): 1, (1,): 1})
+    assert BinomialPoly(1, {(1,): 1}).shift(1, -1) == BinomialPoly(1, {(1,): 1, (0,): -1})
 
 
 def test_permute_and_negate():
-    p = poly_of(3, {(2, 1, 0): Fraction(1)})
+    p = BinomialPoly(3, {(2, 1, 0): 1})
     q = p.permute_positions([2, 3, 1])  # variable v moves to the given slot
-    assert q == poly_of(3, {(0, 2, 1): Fraction(1)})
+    assert q == BinomialPoly(3, {(0, 2, 1): 1}) and q != p
     r = p.negate_variables()
     assert r.evaluate([1, 2, 3]) == p.evaluate([-1, -2, -3])
+    # a polynomial never compares equal to a bare int, not even the zero polynomial
+    assert BinomialPoly(2) != 0
 
 
 def test_substitute_and_specialize():
-    p = poly_of(2, {(1, 1): Fraction(1)})
+    p = BinomialPoly(2, {(1, 1): 1})
     assert p.shift(1, 5).evaluate([0, 3]) == 15  # (k_1 + 5) k_2
     assert p.evaluate_int([4, 6]) == 24
-    with pytest.raises((AssertionError, ArithmeticError, ValueError)):
-        poly_of(1, {(1,): Fraction(1, 2)}).evaluate_int([1])
-
-
-def test_terms_are_normalized_to_lowest_terms():
-    p = MultiPoly(1, {(1,): 2, (0,): 4}, 6)
-    q = MultiPoly(1, {(1,): 1, (0,): 2}, 3)
-    assert (p.terms, p.denominator) == (q.terms, q.denominator)
-    assert p.denominator == 3
-    assert MultiPoly(2, {}, 12).denominator == 1
-    half = mono(1, (1,), Fraction(1, 2))
-    assert half.denominator == 2 and (half - half).denominator == 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_vandermonde_keeps_its_full_denominator(n):
-    # every monomial of prod_{i<j} (k_j - k_i) has coefficient +-1
-    assert vandermonde(n).denominator == prod(j - i for i in range(n) for j in range(i + 1, n))
+    # D V = prod_{i<j} (k_j - k_i) with D = prod_{i<j} (j - i); V has degree
+    # n - 1 in each variable, so the grid {0..n-1}^n decides it
+    denominator = prod(j - i for i, j in combinations(range(n), 2))
+    poly = vandermonde(n)
+    assert poly.max_degree() <= n - 1
+    for x in grid(n, n):
+        assert denominator * value_at(poly, x) == prod(x[j] - x[i] for i, j in combinations(range(n), 2))
+
+
+def permutation_sign(sigma):
+    """(-1)^(n - number of cycles)."""
+    seen, cycles = set(), 0
+    for start in range(len(sigma)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = sigma[start]
+    return (-1) ** (len(sigma) - cycles)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_vandermonde_is_a_signed_permutation_sum(n):
+    # det[C(k_i, j - 1)]: one term C(k_1, sigma_1) ... C(k_n, sigma_n) per
+    # permutation, with its sign
+    expected = {sigma: permutation_sign(sigma) for sigma in permutations(range(n))}
+    assert vandermonde(n).exponent_terms() == expected
+
+
+def test_term_cap_fails_the_vandermonde_before_any_permutation(monkeypatch):
+    # the cap sees all 9! terms at once, not a count reached while building
+    monkeypatch.setenv(TERM_CAP_ENV, "1000")
+    with pytest.raises(TermCapExceeded) as exc:
+        vandermonde(9)
+    assert (exc.value.terms, exc.value.construction, exc.value.n) == (factorial(9), "vandermonde", 9)
 
 
 @pytest.mark.parametrize("terms", [{(-1,): 1}, {(1, 0): 1}])
 def test_exponents_must_be_nonnegative_and_match_the_arity(terms):
     with pytest.raises(ValueError, match=r"is not 1 nonnegative integers"):
-        MultiPoly(1, terms)
+        BinomialPoly(1, terms)
 
 
-@pytest.mark.parametrize("cls", [MultiPoly, BinomialPoly])
+@pytest.mark.parametrize("cls", [BinomialPoly])
 @pytest.mark.parametrize("terms", [{(256, 0): 1}, {(0, 300): 1}, {(1, 256): 0}])
 def test_exponents_above_255_are_rejected(cls, terms):
     # each exponent is one byte of the packed key; a zero coefficient is
@@ -162,7 +161,6 @@ def test_exponents_above_255_are_rejected(cls, terms):
 def test_tuple_keyed_terms_round_trip_through_the_accessor(arity, terms):
     nonzero = {e: c for e, c in terms.items() if c}
     assert BinomialPoly(arity, terms).exponent_terms() == nonzero
-    assert MultiPoly(arity, terms).exponent_terms() == nonzero
 
 
 @given(small_binomial_polys(), st.integers(3, 6))
@@ -174,13 +172,9 @@ def test_extend_arity_keeps_the_keys(b, arity):
 
 
 def test_products_and_substitutions_past_255_raise_instead_of_wrapping():
-    x200, x55 = mono(2, (200, 0)), mono(2, (55, 0))
-    assert (x200 * x55).exponent_terms() == {(255, 0): 1}
-    with pytest.raises(ValueError, match="above 255"):
-        x200 * mono(2, (56, 0))
     # a shift keeps every exponent, so even 255 shifts
     assert BinomialPoly(1, {(255,): 1}).shift(1, 2).max_degree() == 255
-    assert mono(2, (255, 1)).shift(1, -3).max_degree() == 255
+    assert BinomialPoly(2, {(255, 1): 1}).shift(1, -3).max_degree() == 255
     with pytest.raises(ValueError, match="above 255"):
         BinomialPoly(2, {(1, 0): 1}).reexpand({2: lambda e: [0] * 256 + [1]})
     with pytest.raises(ValueError, match="above 255"):
@@ -190,102 +184,69 @@ def test_products_and_substitutions_past_255_raise_instead_of_wrapping():
 @pytest.mark.parametrize("coef", [Fraction(1, 2), Fraction(2), 0.5])
 def test_numerators_must_be_ints(coef):
     with pytest.raises(TypeError, match="expected int coefficient"):
-        MultiPoly(1, {(1,): coef})
-
-
-@pytest.mark.parametrize("denominator", [0, -2])
-def test_denominator_must_be_positive(denominator):
-    with pytest.raises(ValueError, match="denominator must be positive"):
-        MultiPoly(1, {(1,): 1}, denominator)
+        BinomialPoly(1, {(1,): coef})
 
 
 def test_term_cap_env(monkeypatch):
     monkeypatch.setenv(TERM_CAP_ENV, "3")
-    dense = poly_of(1, {(0,): Fraction(1), (1,): Fraction(1)})
+    BinomialPoly(1, {(e,): 1 for e in range(3)})
     with pytest.raises(TermCapExceeded):
-        big = dense
-        for _ in range(4):
-            big = big * dense
+        BinomialPoly(1, {(e,): 1 for e in range(4)})
 
 
 # ---------------------------------------------------------------------------
-# the integer binomial basis against the power basis
+# changes of variable against the pointwise oracle
 # ---------------------------------------------------------------------------
-
-
-@given(small_binomial_polys())
-def test_binomial_roundtrip_through_power_basis(b):
-    m = b.to_multipoly()
-    assert b == m and m == b
-    assert not (b != m) and not (m != b)
-
-
-def expand_by_linear_factors(b):
-    """b in the power basis, each C(k_v, e) expanded by binomial_in_var as a
-    product of linear factors, with no Stirling row."""
-    total = MultiPoly.zero(b.arity)
-    for exps, coef in b.exponent_terms().items():
-        term = MultiPoly.constant(b.arity, coef)
-        for var, e in enumerate(exps, start=1):
-            term = term * binomial_in_var(b.arity, var, 0, e)
-        total = total + term
-    return total
-
-
-@given(small_binomial_polys(max_deg=7))
-@example(BinomialPoly(3, {(7, 0, 3): 1}))
-@example(BinomialPoly(3, {(0, 7, 0): -2, (1, 0, 6): 5}))
-@example(BinomialPoly(3, {(7, 2, 5): 3, (2, 5, 1): -4, (0, 0, 0): 9, (6, 6, 0): 1}))
-def test_to_multipoly_matches_linear_factor_expansion(b):
-    assert b.to_multipoly().terms == expand_by_linear_factors(b).terms
-
-
-def test_binomial_in_var_matches_binomial_basis():
-    # C(k + h, m) = sum_j C(h, m - j) C(k, j) by Vandermonde's convolution
-    for m in range(6):
-        for h in range(-6, 7):
-            expected = BinomialPoly(1, {(j,): binom(h, m - j) for j in range(m + 1)})
-            assert binomial_in_var(1, 1, h, m) == expected, (m, h)
-
-
-def test_cross_basis_inequality():
-    b = BinomialPoly(2, {(1, 0): 1})
-    assert b != mono(2, (0, 1)) and mono(2, (0, 1)) != b
-    assert b != BinomialPoly(2, {(0, 1): 1})
-    # neither basis compares equal to a bare int, not even the zero polynomial
-    assert MultiPoly(2) != 0 and BinomialPoly(2) != 0
 
 
 @given(small_binomial_polys(), st.integers(1, 3), st.integers(-6, 6))
 def test_binomial_shift(b, var, h):
-    assert b.shift(var, h) == b.to_multipoly().shift(var, h)
+    # degree at most 4 in each variable, so the grid {0..4}^3 decides it
+    for x in grid(3, 5):
+        moved = list(x)
+        moved[var - 1] += h
+        assert value_at(b.shift(var, h), x) == value_at(b, moved)
 
 
-@pytest.mark.parametrize("power", [False, True], ids=["binomial", "power"])
 @given(
     b=small_binomial_polys(),
     var=st.integers(1, 3),
     h=st.integers(-6, 6),
     point=st.lists(st.integers(-7, 7), min_size=3, max_size=3),
 )
-def test_shift_evaluates_at_the_shifted_point(power, b, var, h, point):
+def test_shift_evaluates_at_the_shifted_point(b, var, h, point):
     # E_var^h p at x is p at x + h e_var, evaluated without any shift row
-    p = b.to_multipoly() if power else b
     moved = list(point)
     moved[var - 1] += h
-    assert p.shift(var, h).evaluate(point) == p.evaluate(moved)
+    assert b.shift(var, h).evaluate(point) == b.evaluate(moved)
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(-6, 6))
 def test_substitution_row_is_a_product_of_binomials(a, b, h):
-    # the row apply_sigma substitutes: C(y + h, a) C(y, b) in the basis C(y, j)
-    row = BinomialPoly(1, {(j,): c for j, c in _substitution_row(a, b, h)})
-    assert row == binomial_in_var(1, 1, h, a) * binomial_in_var(1, 1, 0, b)
+    # the row apply_sigma substitutes: C(y + h, a) C(y, b) in the basis C(y, j);
+    # both sides have degree a + b in y, so a + b + 1 points decide it
+    row = _substitution_row(a, b, h)
+    for y in range(a + b + 1):
+        expected = scalar_binomial(y + h, a) * scalar_binomial(y, b)
+        assert sum(coef * scalar_binomial(y, j) for j, coef in row) == expected
+
+
+@given(st.integers(0, 8), st.integers(-6, 6), st.integers(-9, 9))
+def test_operator_rows_are_the_difference_and_the_shift(e, h, x):
+    # the two rows of each pair factor of alpha_via_operator, in the basis C(x, j)
+    delta = _difference_row(e)
+    assert sum(f * scalar_binomial(x, j) for j, f in enumerate(delta)) == (
+        scalar_binomial(x + 1, e) - scalar_binomial(x, e)
+    )
+    shift = _translation_row(e, h)
+    assert sum(f * scalar_binomial(x, j) for j, f in enumerate(shift)) == scalar_binomial(x + h, e)
 
 
 @given(small_binomial_polys())
 def test_binomial_negation(b):
-    assert b.negate_variables() == b.to_multipoly().negate_variables()
+    negated = b.negate_variables()
+    for x in grid(3, 5):
+        assert value_at(negated, x) == value_at(b, [-v for v in x])
 
 
 def strict_rows(bounds):
@@ -359,12 +320,15 @@ def test_binomial_specialize(b, var, value, point):
 
 @given(small_binomial_polys(), st.permutations([1, 2, 3]))
 def test_binomial_permute_positions(b, perm):
-    assert b.permute_positions(perm) == b.to_multipoly().permute_positions(perm)
+    # variable v of b becomes variable perm[v-1]
+    permuted = b.permute_positions(perm)
+    for x in grid(3, 5):
+        assert value_at(permuted, x) == value_at(b, [x[slot - 1] for slot in perm])
 
 
 @given(small_binomial_polys(), st.lists(st.integers(-7, 7), min_size=3, max_size=3))
 def test_binomial_evaluation_at_negative_points(b, point):
-    assert b.evaluate(point) == b.to_multipoly().evaluate(point)
+    assert b.evaluate(point) == value_at(b, point)
 
 
 def test_binomial_term_cap(monkeypatch):
@@ -395,7 +359,7 @@ def test_term_cap_inside_the_operator_product(monkeypatch):
 def test_malformed_term_cap_raises_value_error(monkeypatch, raw):
     monkeypatch.setenv(TERM_CAP_ENV, raw)
     with pytest.raises(ValueError):
-        MultiPoly.constant(1, 1)
+        BinomialPoly(1, {(0,): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +418,51 @@ def test_summation_operator_builds_alpha():
     assert summation_operator(alpha_via_recursion(2)) == alpha3
 
 
-#: each variant's pair factor as printed next to ALPHA_VARIANTS, applied with
-#: MultiPoly shifts
+#: each variant's pair factor as printed next to ALPHA_VARIANTS, as
+#: {(shift of k_p, shift of k_q): coefficient}
 PRINTED_PAIR_FACTORS = {
-    "printed": lambda P, p, q: P + P.shift(p, 1).shift(q, 1) - P.shift(q, 1),
-    "pair_minus_Ep": lambda P, p, q: P + P.shift(p, 1).shift(q, 1) - P.shift(p, 1),
-    "inverse_form": lambda P, p, q: P + P.shift(q, 1).shift(p, -1) - P.shift(p, -1),
+    "printed": {(0, 0): 1, (1, 1): 1, (0, 1): -1},  # id + E_p E_q - E_q
+    "pair_minus_Ep": {(0, 0): 1, (1, 1): 1, (1, 0): -1},  # id + E_p E_q - E_p
+    "inverse_form": {(0, 0): 1, (-1, 1): 1, (-1, 0): -1},  # id + E_q E_p^-1 - E_p^-1
 }
+
+
+def operator_product(variant, n):
+    """The product of the variant's pair factors over p < q, expanded as
+    {shift vector: coefficient}: the operator sum of coefficient times E^shift."""
+    total = {(0,) * n: 1}
+    for p, q in combinations(range(n), 2):
+        step = {}
+        for shift, coef in total.items():
+            for (dp, dq), factor in PRINTED_PAIR_FACTORS[variant].items():
+                moved = list(shift)
+                moved[p] += dp
+                moved[q] += dq
+                step[tuple(moved)] = step.get(tuple(moved), 0) + coef * factor
+        total = {shift: coef for shift, coef in step.items() if coef}
+    return total
+
+
+def normalized_vandermonde(x):
+    """prod_{i<j} (x_j - x_i) / (j - i), an integer at every integer point."""
+    pairs = list(combinations(range(len(x)), 2))
+    return prod(x[j] - x[i] for i, j in pairs) // prod(j - i for i, j in pairs)
 
 
 @pytest.mark.parametrize("variant", ALPHA_VARIANTS)
 @pytest.mark.parametrize("n", range(1, 5))
 def test_operator_variant_is_its_printed_formula(variant, n):
-    poly = vandermonde(n)
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            poly = PRINTED_PAIR_FACTORS[variant](poly, p, q)
-    assert alpha_via_operator(n, variant).terms == poly.terms
+    # shifts keep degrees, so both sides have degree at most n - 1 in each
+    # variable and the grid {0..n-1}^n decides equality
+    poly = alpha_via_operator(n, variant)
+    assert poly.max_degree() <= n - 1
+    operator = operator_product(variant, n)
+    for x in grid(n, n):
+        expected = sum(
+            coef * normalized_vandermonde([v + d for v, d in zip(x, shift)])
+            for shift, coef in operator.items()
+        )
+        assert value_at(poly, x) == expected, x
 
 
 @pytest.mark.parametrize("variant", ALPHA_VARIANTS)
@@ -484,7 +476,7 @@ def test_variant_selection_is_unique():
 
 
 def test_production_variant_agrees_with_recursion():
-    for n in range(1, 6):
+    for n in range(1, 7):
         assert alpha_via_operator(n) == alpha_via_recursion(n)
 
 
