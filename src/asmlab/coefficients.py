@@ -1,18 +1,20 @@
 """Expansion coefficients of the specialized triangle-counting polynomial.
 
-The coefficients A(n; s_1..s_c; i_1..i_d) are extracted from alpha_n by
-finite differences at the anchored evaluation point, tabulated, checked
-against the brute-force trapezoid counts, and run through the polynomial
-identities relating them (cyclic rotation, reflection/translation, the
-circuit relation, the linear system, and the s/i symmetry).
+The coefficients A(n; s_1..s_c; i_1..i_d) are finite differences of the
+(c, d) class polynomial: alpha_n with its middle arguments pinned to
+(c+1, ..., n-d) and removed, in the c + d variables (x_1..x_c, y_1..y_d).
+They are tabulated, checked against the brute-force trapezoid counts, and
+run through the polynomial identities relating them (cyclic rotation,
+reflection/translation, the circuit relation, the linear system, and the
+s/i symmetry).
 
-alpha_n is held in the binomial basis, where the differences are index
-moves: Delta^m C(x, e) = C(x, e - m) and nabla^m C(x, e) = C(x - m, e - m).
-A coefficient is then one pass over the terms, and a coefficient table one
-basis change per axis.  The identity checks read whole tables; the single
-cell serves `asmlab coeff`.  The re-expansion check stays in the same basis:
-it rebuilds alpha_n from a table through the paper's basis polynomials,
-re-expanded by Vandermonde's convolution, so it shares no row with the table.
+In the binomial basis the differences are index moves: Delta^m C(x, e) =
+C(x, e - m) and nabla^m C(x, e) = C(x - m, e - m).  One difference weight
+serves a single cell (one pass over the terms), a table (one basis change
+per variable) and the gamma formula on alpha_n.  The re-expansion check
+rebuilds the class polynomial from a table through the paper's basis
+polynomials, re-expanded by Vandermonde's convolution, so it shares no row
+with the table.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from math import comb
 from operator import index
 from typing import Sequence
 
-from .enumeration import (
-    GammaSpec,
-    count_trapezoids,
-    gamma_count,
-    index_tuples,
-    special_point,
-)
+from .enumeration import GammaSpec, count_trapezoids, gamma_count, index_tuples
 from .polynomials import BinomialPoly, alpha_via_recursion, binom
 from .reports import VerificationReport
 
@@ -66,96 +62,94 @@ class CoefficientTable:
 
 @lru_cache(maxsize=128)
 def _specialized_alpha(n: int, c: int, d: int) -> BinomialPoly:
-    """alpha_n with the middle variables pinned to (c+1, ..., n-d).
+    """The (c, d) class polynomial, of arity c + d (module docstring).
 
-    Built from its neighbour: the (c, d) class is the (c+1, d) class with
-    variable c+1 pinned to c+1, and c + d >= n pins nothing.  The classes of
-    one d thus form one chain from alpha_n through this cache, and each step
-    pins one variable of an already smaller polynomial.
+    The (c, d) class is the (c+1, d) class with variable c+1 pinned to c+1,
+    and c + d >= n pins nothing.  The classes of one d thus form one chain
+    from alpha_n through this cache.  The classes above the neighbour are
+    requested first, from alpha_n down, so each is a hit or one pin of the
+    class requested just before it; while the chain fits the cache, no call
+    nests deeper than one class.
     """
     if c + d >= n:
         return alpha_via_recursion(n)
+    for top in range(n - d - 1, c + 1, -1):
+        _specialized_alpha(n, top, d)
     return _specialized_alpha(n, c + 1, d).specialize({c + 1: c + 1})
 
 
-def _difference_value(poly: BinomialPoly, s: tuple[int, ...], i: tuple[int, ...], point) -> int:
-    """(-1)^(|s|-c) times Delta^{s_c-1}_1 ... Delta^{s_1-1}_c
-    nabla^{i_1-1}_{n-d+1} ... nabla^{i_d-1}_n poly, evaluated at `point`.
+def _difference_weight(x: int, e: int, m: int, on_i: bool) -> int:
+    """(-1)^m Delta^m C(x, e) = (-1)^m C(x, e - m) for an s index m + 1, or
+    nabla^m C(x, e) = C(x - m, e - m) for an i index m + 1."""
+    return binom(x - m, e - m) if on_i else (-1) ** m * binom(x, e - m)
 
-    `poly` is alpha_n or a specialization of it, so no exponent reaches n.
-    """
-    n, c, d = poly.arity, len(s), len(i)
-    lowered = [0] * n  # Delta^m or nabla^m lowers the exponent by m ...
-    moved = [0] * n  # ... and nabla^m also moves the argument down by m
-    for var in range(1, c + 1):
-        lowered[var - 1] = s[c - var] - 1
-    for l in range(1, d + 1):
-        lowered[n - d + l - 1] = moved[n - d + l - 1] = i[l - 1] - 1
+
+def _difference_value(poly: BinomialPoly, n: int, s: tuple[int, ...], i: tuple[int, ...], point) -> int:
+    """poly differenced by s on its first c variables (s_c on the first) and
+    by i on its last d, at `point`; variables between them are evaluated.
+    poly is alpha_n or a class polynomial, so no exponent reaches n."""
+    c, middle = len(s), poly.arity - len(s) - len(i)
+    orders = [m - 1 for m in reversed(s)] + [0] * middle + [m - 1 for m in i]
     tables = [
-        [binom(x - mv, e - m) for e in range(n)] for x, m, mv in zip(point, lowered, moved)
+        [_difference_weight(x, e, m, v >= c + middle) for e in range(n)]
+        for v, (x, m) in enumerate(zip(point, orders))
     ]
-    sign = -1 if (sum(s) - c) % 2 else 1
-    return sign * poly.contract(tables)
+    return poly.contract(tables)
 
 
 def extract_coefficient(pair: IndexTuplePair) -> int:
-    """One A(n; s; i) by finite differences of alpha_n at the anchored point."""
+    """One A(n; s; i) by finite differences of the class polynomial at
+    ((c+1)^c, (n-d)^d)."""
     n, c, d = pair.n, len(pair.s), len(pair.i)
-    return _difference_value(_specialized_alpha(n, c, d), pair.s, pair.i, special_point(n, c, d))
+    point = (c + 1,) * c + (n - d,) * d
+    return _difference_value(_specialized_alpha(n, c, d), n, pair.s, pair.i, point)
 
 
 def coefficient_table(n: int, c: int, d: int) -> CoefficientTable:
     """All A(n; s; i) for (s, i) in [1,n]^c x [1,n]^d.
 
-    Variable c+1-j carries s_j and variable n-d+l carries i_l; the middle
-    variables are pinned.  One basis change per differenced axis takes
-    exponent e to the entry m + 1 with weight (-1)^m Delta^m C(x, e) =
-    (-1)^m C(x, e - m) on an s-axis, or nabla^m C(x, e) = C(x - m, e - m) on
-    an i-axis, at the anchored point.  A grid key is then (s reversed, 0..0, i).
+    The class polynomial's variable c+1-j carries s_j and is read at c + 1;
+    its variable c+l carries i_l and is read at n - d.  One basis change per
+    variable takes exponent e to the entry m + 1 with the difference weight
+    of order m.  A grid key is then (s reversed, i).
     """
     if c < 0 or d < 0:
         raise ValueError("need c >= 0 and d >= 0")
     if c + d > n:
         raise ValueError("need c + d <= n")
-    point = special_point(n, c, d)
     rows = {}
-    for axis in [*range(c), *range(n - d, n)]:
-        x = point[axis]
-        if axis < c:
-            table = [[0] + [(-1) ** m * binom(x, e - m) for m in range(n)] for e in range(n)]
-        else:
-            table = [[0] + [binom(x - m, e - m) for m in range(n)] for e in range(n)]
+    for axis in range(c + d):
+        x = c + 1 if axis < c else n - d
+        table = [[0] + [_difference_weight(x, e, m, axis >= c) for m in range(n)] for e in range(n)]
         rows[axis + 1] = table.__getitem__
     grid = _specialized_alpha(n, c, d).reexpand(rows).exponent_terms()
     cells = range(1, n + 1)
     values = dict.fromkeys(product(product(cells, repeat=c), product(cells, repeat=d)), 0)
     for key, value in grid.items():
-        values[key[:c][::-1], key[n - d :]] = value
+        values[key[:c][::-1], key[c:]] = value
     return CoefficientTable(n, c, d, values)
 
 
 def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
-    """Reassemble the specialized alpha_n from the table and compare it term
-    for term with the one the table was read from.
+    """Reassemble the class polynomial from the table and compare it term for
+    term with the one the table was read from.
 
     Each cell weighs the paper's basis polynomials: (-1)^m C(k - c - 1, m) on
-    the axis of an s index, C(k - n + d - 1 + m, m) on the axis of an i index,
+    the variable of an s index, C(k - n + d - 1 + m, m) on that of an i index,
     with m one less than the index.  Vandermonde's convolution re-expands
     them in C(k, t): (-1)^m C(k - c - 1, m) = (-1)^m sum_t C(-c - 1, m - t)
     C(k, t), and C(k - n + d - 1 + m, m) = sum_t C(m - n + d - 1, m - t) C(k, t).
     """
     n, c, d = table.n, table.c, table.d
     report = VerificationReport("expansion-reconstruction", f"n={n}, c={c}, d={d}")
-    # entry j on a differenced axis is the index m + 1; the pinned middle
-    # variables keep exponent 0
-    middle = (0,) * (n - c - d)
-    grid = {s[::-1] + middle + i: value for (s, i), value in table.values.items() if value}
+    # entry j on a variable is the index m + 1
+    grid = {s[::-1] + i: value for (s, i), value in table.values.items() if value}
     rows = {}
     for var in range(1, c + 1):
         rows[var] = lambda j: [(-1) ** (j - 1) * binom(-c - 1, j - 1 - t) for t in range(j)]
-    for var in range(n - d + 1, n + 1):
+    for var in range(c + 1, c + d + 1):
         rows[var] = lambda j: [binom(j - n + d - 2, j - 1 - t) for t in range(j)]
-    total = BinomialPoly(n, grid).reexpand(rows).exponent_terms()
+    total = BinomialPoly(c + d, grid).reexpand(rows).exponent_terms()
     target = _specialized_alpha(n, c, d).exponent_terms()
     for exps in sorted(target.keys() | total.keys()):
         report.record(f"term {exps}", target.get(exps, 0), total.get(exps, 0))
@@ -277,7 +271,7 @@ def check_relation(n: int) -> VerificationReport:
 def gamma_formula_value(spec: GammaSpec) -> int:
     """The finite-difference side of the anchored-count identity, evaluated
     at spec.k."""
-    return _difference_value(alpha_via_recursion(spec.n), spec.s, spec.i, spec.k)
+    return _difference_value(alpha_via_recursion(spec.n), spec.n, spec.s, spec.i, spec.k)
 
 
 def check_gamma_formula(spec: GammaSpec) -> VerificationReport:

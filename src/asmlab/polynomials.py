@@ -21,9 +21,10 @@ ever stored.
 Exponent keys.  A term is keyed by its exponent vector (e_1, ..., e_n)
 packed into one `int`, int.from_bytes(bytes(e), "little"): byte v-1 holds e_v,
 so every exponent lies in 0..MAX_EXPONENT = 255, and key.to_bytes(n, "little")
-unpacks it.  The kernels do digit arithmetic on keys: pinning k_v subtracts
-e_v << 8(v-1), a shift or a basis change on one axis adds j << 8(v-1) to the
-rest of the key, and `extend_arity` keeps every key.
+unpacks it.  The kernels do digit arithmetic on keys: pinning k_v removes
+byte v-1 and moves the bytes above it down one place, a shift or a basis
+change on one axis adds j << 8(v-1) to the rest of the key, and
+`extend_arity` keeps every key.
 The constructor takes {exponent tuple: coefficient}, packs it, and rejects a
 wrong length or an exponent outside 0..255 with ValueError; `exponent_terms()`
 reads the terms back as tuples.  The encoding stays inside this module.
@@ -173,13 +174,14 @@ def axis_transform(terms: Mapping[int, int], axis: int, row: Callable[[int], Seq
 
 
 def _pin(terms: Mapping[int, int], axis: int, table) -> dict[int, int]:
-    """Each term times table[e], e its exponent on `axis`, which becomes 0."""
+    """Each term times table[e], e its exponent on `axis`, whose byte is
+    removed: the bytes above it move down one place."""
     shift = 8 * axis
+    mask = (1 << shift) - 1
     out: dict[int, int] = {}
     for key, coef in terms.items():
-        e = (key >> shift) & 255
-        new = key - (e << shift)
-        out[new] = out.get(new, 0) + coef * table[e]
+        new = (key & mask) | (key >> (shift + 8) << shift)
+        out[new] = out.get(new, 0) + coef * table[(key >> shift) & 255]
     return out
 
 
@@ -327,14 +329,14 @@ class BinomialPoly:
         return self.reexpand({var: partial(_translation_row, h=h)})
 
     def specialize(self, assignment: Mapping[int, int]) -> "BinomialPoly":
-        """Substitute the given variables by integer values, keeping the arity;
-        with no variable to pin it returns self."""
+        """Substitute the given variables by integer values and remove them,
+        the others keeping their order; with no variable to pin, self."""
         if not assignment:
             return self
         terms = self.terms
-        for var, value in assignment.items():
-            terms = _pin(terms, _index(var, self.arity), _LazyRow(partial(binom, value)))
-        return BinomialPoly._of(self.arity, terms)
+        for var in sorted(assignment, reverse=True):  # the highest first keeps lower indices
+            terms = _pin(terms, _index(var, self.arity), _LazyRow(partial(binom, assignment[var])))
+        return BinomialPoly._of(self.arity - len(assignment), terms)
 
     def contract(self, tables: Sequence[Sequence[int]]) -> int:
         """sum_e a_e prod_v tables[v][e_v]: the polynomial with each C(k_v, e)
@@ -488,12 +490,17 @@ def summation_operator(poly: BinomialPoly) -> BinomialPoly:
 @lru_cache(maxsize=8)
 @_names_cap_hits
 def alpha_via_recursion(n: int) -> BinomialPoly:
-    """The monotone-triangle counting polynomial alpha_n, built recursively
-    in the binomial basis."""
+    """The monotone-triangle counting polynomial alpha_n, built in the
+    binomial basis by the summation operator.  The orders below n - 1 are
+    requested first, upward, so each is a hit or one step from the order
+    before it, and the term cap stops the build at the first order too large;
+    while they fit the cache, no call nests deeper than one order."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return BinomialPoly(1, {(0,): 1})
+    for m in range(2, n - 1):
+        alpha_via_recursion(m)
     return summation_operator(alpha_via_recursion(n - 1))
 
 

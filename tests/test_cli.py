@@ -236,6 +236,15 @@ def test_term_cap_hit_names_the_construction():
     assert "alpha_via_recursion(n=" in err
 
 
+def test_term_cap_hit_at_a_large_order_is_usage_error():
+    # alpha_400 is built upward, so the cap stops it at a small order
+    # instead of a recursion 400 orders deep
+    code, _, err = run_process("coeff", "--n", "400", "--s", "1", env={"ASMLAB_TERM_CAP": "1000"})
+    assert_usage_error(code, err)
+    assert len(err.splitlines()) == 1
+    assert "alpha_via_recursion(n=" in err
+
+
 # an empty PYTHONUNBUFFERED buffers stdout: count's one line fails only at the
 # flush, table's 19 KB already while printing
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])

@@ -19,6 +19,7 @@ from asmlab import (
     check_system,
     coefficient_table,
     count_trapezoids,
+    count_triangles,
     extract_coefficient,
     gamma_count,
     gamma_formula_value,
@@ -81,7 +82,25 @@ def test_specialized_alpha_pins_the_middle_variables():
         for c in range(n + 1):
             for d in range(n + 1 - c):
                 direct = alpha.specialize({v: v for v in range(c + 1, n - d + 1)})
+                assert _specialized_alpha(n, c, d).arity == c + d, (n, c, d)
                 assert _specialized_alpha(n, c, d).terms == direct.terms, (n, c, d)
+
+
+def test_class_polynomials_count_triangles():
+    # the (c, d) class at (x; y) is the number of monotone triangles with
+    # bottom row (x, c+1, ..., n-d, y), read off by the row recursion alone
+    rng = random.Random(22)
+    for n in range(1, 6):
+        for c in range(n + 1):
+            for d in range(n + 1 - c):
+                poly = _specialized_alpha(n, c, d)
+                assert poly.arity == c + d, (n, c, d)
+                middle = tuple(range(c + 1, n - d + 1))
+                for _ in range(3):
+                    x = tuple(sorted(rng.sample(range(c - 4, c + 1), c)))
+                    y = tuple(sorted(rng.sample(range(n - d + 1, n - d + 6), d)))
+                    expected = count_triangles(x + middle + y)
+                    assert poly.evaluate(x + y) == expected, (n, c, d, x, y)
 
 
 def test_specialized_alpha_builds_each_class_from_its_neighbour():

@@ -310,12 +310,34 @@ def test_apply_sigma_over_no_slot_is_zero(lo, hi):
     small_binomial_polys(),
     st.integers(1, 3),
     st.integers(-7, 7),
-    st.lists(st.integers(-7, 7), min_size=3, max_size=3),
+    st.lists(st.integers(-7, 7), min_size=2, max_size=2),
 )
-def test_binomial_specialize(b, var, value, point):
-    pinned = list(point)
-    pinned[var - 1] = value
-    assert b.specialize({var: value}).evaluate(point) == b.evaluate(pinned)
+def test_binomial_specialize(b, var, value, rest):
+    # the pinned variable is removed and the others keep their order
+    point = list(rest)
+    point.insert(var - 1, value)
+    pinned = b.specialize({var: value})
+    assert pinned.arity == 2
+    assert pinned.evaluate(rest) == value_at(b, point)
+
+
+@given(small_binomial_polys(), st.lists(st.integers(-7, 7), min_size=3, max_size=3))
+def test_pinning_every_variable_leaves_the_value(b, point):
+    constant = b.specialize(dict(enumerate(point, 1)))
+    assert constant.arity == 0
+    assert constant.evaluate([]) == b.evaluate(point)
+
+
+@given(
+    small_binomial_polys(),
+    st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True),
+    st.lists(st.integers(-7, 7), min_size=2, max_size=2),
+)
+def test_pinning_two_variables_at_once_is_pinning_them_in_turn(b, variables, values):
+    (u, v), (a, h) = variables, values
+    # once u is gone, a variable v above it is variable v - 1
+    in_turn = b.specialize({u: a}).specialize({v - (v > u): h})
+    assert b.specialize({u: a, v: h}) == in_turn
 
 
 @given(small_binomial_polys(), st.permutations([1, 2, 3]))
@@ -399,6 +421,14 @@ def test_term_cap_inside_the_summation_operator(monkeypatch):
     with pytest.raises(TermCapExceeded) as exc:
         alpha_via_recursion.__wrapped__(6)
     assert (exc.value.construction, exc.value.n) == ("alpha_via_recursion", 6)
+
+
+def test_term_cap_stops_a_large_order_before_any_deep_recursion(monkeypatch):
+    monkeypatch.setenv(TERM_CAP_ENV, "1000")
+    with pytest.raises(TermCapExceeded) as exc:
+        alpha_via_recursion(400)
+    # the first order past 1,000 terms is at most alpha_8, whichever are cached
+    assert exc.value.construction == "alpha_via_recursion" and exc.value.n <= 8
 
 
 def test_alpha_at_degenerate_point_is_zero():
