@@ -13,8 +13,7 @@ C(x, e - m) and nabla^m C(x, e) = C(x - m, e - m).  One difference weight
 serves a single cell (one pass over the terms), a table (one basis change
 per variable) and the gamma formula on alpha_n.  The re-expansion check
 rebuilds the class polynomial from a table through the paper's basis
-polynomials, re-expanded by Vandermonde's convolution, so it shares no row
-with the table.
+polynomials by Vandermonde's convolution, so it shares no row with the table.
 """
 
 from __future__ import annotations
@@ -62,14 +61,13 @@ class CoefficientTable:
 
 @lru_cache(maxsize=128)
 def _specialized_alpha(n: int, c: int, d: int) -> BinomialPoly:
-    """The (c, d) class polynomial, of arity c + d (module docstring).
+    """The (c, d) class polynomial, of arity c + d (module docstring): the
+    (c+1, d) class with variable c+1 pinned to c+1; c + d >= n pins nothing.
 
-    The (c, d) class is the (c+1, d) class with variable c+1 pinned to c+1,
-    and c + d >= n pins nothing.  The classes of one d thus form one chain
-    from alpha_n through this cache.  The classes above the neighbour are
-    requested first, from alpha_n down, so each is a hit or one pin of the
-    class requested just before it; while the chain fits the cache, no call
-    nests deeper than one class.
+    The classes of one d form one chain from alpha_n through this cache.  The
+    classes above the neighbour are requested first, from alpha_n down, so
+    each is a hit or one pin; while the chain fits the cache, no call nests
+    deeper than one class.
     """
     if c + d >= n:
         return alpha_via_recursion(n)
@@ -78,10 +76,12 @@ def _specialized_alpha(n: int, c: int, d: int) -> BinomialPoly:
     return _specialized_alpha(n, c + 1, d).specialize({c + 1: c + 1})
 
 
-def _difference_weight(x: int, e: int, m: int, on_i: bool) -> int:
-    """(-1)^m Delta^m C(x, e) = (-1)^m C(x, e - m) for an s index m + 1, or
-    nabla^m C(x, e) = C(x - m, e - m) for an i index m + 1."""
-    return binom(x - m, e - m) if on_i else (-1) ** m * binom(x, e - m)
+def _difference_weights(x: int, m: int, on_i: bool, n: int) -> list[int]:
+    """For e in 0..n-1: (-1)^m Delta^m C(x, e) = (-1)^m C(x, e - m) for an s
+    index m + 1, or nabla^m C(x, e) = C(x - m, e - m) for an i index m + 1."""
+    if on_i:
+        return [binom(x - m, e - m) for e in range(n)]
+    return [(-1) ** m * binom(x, e - m) for e in range(n)]
 
 
 def _difference_value(poly: BinomialPoly, n: int, s: tuple[int, ...], i: tuple[int, ...], point) -> int:
@@ -90,10 +90,7 @@ def _difference_value(poly: BinomialPoly, n: int, s: tuple[int, ...], i: tuple[i
     poly is alpha_n or a class polynomial, so no exponent reaches n."""
     c, middle = len(s), poly.arity - len(s) - len(i)
     orders = [m - 1 for m in reversed(s)] + [0] * middle + [m - 1 for m in i]
-    tables = [
-        [_difference_weight(x, e, m, v >= c + middle) for e in range(n)]
-        for v, (x, m) in enumerate(zip(point, orders))
-    ]
+    tables = [_difference_weights(x, m, v >= c + middle, n) for v, (x, m) in enumerate(zip(point, orders))]
     return poly.contract(tables)
 
 
@@ -120,8 +117,8 @@ def coefficient_table(n: int, c: int, d: int) -> CoefficientTable:
     rows = {}
     for axis in range(c + d):
         x = c + 1 if axis < c else n - d
-        table = [[0] + [_difference_weight(x, e, m, axis >= c) for m in range(n)] for e in range(n)]
-        rows[axis + 1] = table.__getitem__
+        columns = [_difference_weights(x, m, axis >= c, n) for m in range(n)]
+        rows[axis + 1] = [[0, *weights] for weights in zip(*columns)].__getitem__
     grid = _specialized_alpha(n, c, d).reexpand(rows).exponent_terms()
     cells = range(1, n + 1)
     values = dict.fromkeys(product(product(cells, repeat=c), product(cells, repeat=d)), 0)

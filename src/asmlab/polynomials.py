@@ -22,9 +22,8 @@ Exponent keys.  A term is keyed by its exponent vector (e_1, ..., e_n)
 packed into one `int`, int.from_bytes(bytes(e), "little"): byte v-1 holds e_v,
 so every exponent lies in 0..MAX_EXPONENT = 255, and key.to_bytes(n, "little")
 unpacks it.  The kernels do digit arithmetic on keys: pinning k_v removes
-byte v-1 and moves the bytes above it down one place, a shift or a basis
-change on one axis adds j << 8(v-1) to the rest of the key, and
-`extend_arity` keeps every key.
+byte v-1, a shift or a basis change on one axis adds j << 8(v-1) to the
+rest of the key, and `extend_arity` keeps every key.
 The constructor takes {exponent tuple: coefficient}, packs it, and rejects a
 wrong length or an exponent outside 0..255 with ValueError; `exponent_terms()`
 reads the terms back as tuples.  The encoding stays inside this module.
@@ -174,13 +173,12 @@ def axis_transform(terms: Mapping[int, int], axis: int, row: Callable[[int], Seq
 
 
 def _pin(terms: Mapping[int, int], axis: int, table) -> dict[int, int]:
-    """Each term times table[e], e its exponent on `axis`, whose byte is
-    removed: the bytes above it move down one place."""
-    shift = 8 * axis
+    """Each term times table[e], e its exponent on `axis`, whose byte it removes."""
+    shift, above = 8 * axis, 8 * axis + 8
     mask = (1 << shift) - 1
     out: dict[int, int] = {}
     for key, coef in terms.items():
-        new = (key & mask) | (key >> (shift + 8) << shift)
+        new = (key & mask) | (key >> above << shift)
         out[new] = out.get(new, 0) + coef * table[(key >> shift) & 255]
     return out
 
@@ -490,11 +488,10 @@ def summation_operator(poly: BinomialPoly) -> BinomialPoly:
 @lru_cache(maxsize=8)
 @_names_cap_hits
 def alpha_via_recursion(n: int) -> BinomialPoly:
-    """The monotone-triangle counting polynomial alpha_n, built in the
-    binomial basis by the summation operator.  The orders below n - 1 are
-    requested first, upward, so each is a hit or one step from the order
-    before it, and the term cap stops the build at the first order too large;
-    while they fit the cache, no call nests deeper than one order."""
+    """The monotone-triangle counting polynomial alpha_n in the binomial
+    basis.  The orders below n - 1 are requested first, upward, so each is a
+    hit or one summation step and the term cap stops at the first order too
+    large; while they fit the cache, no call nests deeper than one order."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
