@@ -4,8 +4,9 @@ Subcommands: count, coeff, table, verify, transform, convert.  All counts are
 printed as decimal strings and never as JSON numbers; output is byte-identical
 across runs for identical arguments.  Exit status: 0 success / all checks
 pass, 1 verification failure, 2 usage error (bad arguments or input files, a
-malformed ASMLAB_TERM_CAP, a polynomial outgrowing that cap, or a stdout closed
-before all output was written, as by `| head -1`), 3 any other error; an error
+malformed ASMLAB_TERM_CAP, a polynomial outgrowing that cap, a `coeff --n`
+above 256, whose alpha_n has exponents past the 255 its keys hold, or a stdout
+closed before all output was written, as by `| head -1`), 3 any other error; an error
 prints one `error:` line on stderr and no traceback.  A closed stderr drops
 warnings and the `error:` line and changes no exit status.
 """
@@ -89,10 +90,11 @@ def cmd_coeff(args) -> int:
     i = _int_list(args.i)
     try:
         pair = coefficients.IndexTuplePair(n, s, i)
+        if args.method in ("extract", "both"):
+            # an order whose alpha_n has exponents past 255 raises ValueError too
+            extracted = coefficients.extract_coefficient(pair)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if args.method in ("extract", "both"):
-        extracted = coefficients.extract_coefficient(pair)
     if args.method in ("brute", "both"):
         try:
             brute = enumeration.count_trapezoids(n, s, i)

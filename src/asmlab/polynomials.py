@@ -51,17 +51,6 @@ MAX_EXPONENT = 255
 DEFAULT_TERM_CAP = 2_000_000
 TERM_CAP_ENV = "ASMLAB_TERM_CAP"
 
-#: shift-operator product variants for `alpha_via_operator`; the factor applied
-#: over all pairs p < q is, respectively,
-#:   printed       : id + E_p E_q - E_q
-#:   pair_minus_Ep : id + E_p E_q - E_p
-#:   inverse_form  : id + E_q E_p^{-1} - E_p^{-1}
-ALPHA_VARIANTS = ("printed", "pair_minus_Ep", "inverse_form")
-
-#: variant pinned for production use, selected by term-identity with the
-#: summation-operator recursion for all n <= 5 (see select_operator_variants).
-PRODUCTION_ALPHA_VARIANT = "pair_minus_Ep"
-
 
 class TermCapExceeded(RuntimeError):
     """Raised when a polynomial would exceed the configured term cap.
@@ -350,8 +339,6 @@ class BinomialPoly:
             raise ValueError("assignment length does not match arity")
         return _contract(self.terms, [_LazyRow(partial(binom, x)) for x in values])
 
-    evaluate_int = evaluate
-
     def permute_positions(self, new_position: Sequence[int]) -> "BinomialPoly":
         """Move the exponent of variable v to variable new_position[v-1]."""
         arity = self.arity
@@ -489,11 +476,14 @@ def summation_operator(poly: BinomialPoly) -> BinomialPoly:
 @_names_cap_hits
 def alpha_via_recursion(n: int) -> BinomialPoly:
     """The monotone-triangle counting polynomial alpha_n in the binomial
-    basis.  The orders below n - 1 are requested first, upward, so each is a
-    hit or one summation step and the term cap stops at the first order too
-    large; while they fit the cache, no call nests deeper than one order."""
+    basis.  alpha_n has exponents up to n - 1, so an order above
+    MAX_EXPONENT + 1 raises ValueError before any lower order is requested.
+    The orders below n - 1 are requested first, upward, so each is a hit or
+    one summation step and the term cap stops at the first order too large;
+    while they fit the cache, no call nests deeper than one order."""
     if n < 1:
         raise ValueError("n must be positive")
+    _raised_past_limit(n - 1, f"alpha_via_recursion({n})")
     if n == 1:
         return BinomialPoly(1, {(0,): 1})
     for m in range(2, n - 1):
@@ -502,37 +492,20 @@ def alpha_via_recursion(n: int) -> BinomialPoly:
 
 
 @_names_cap_hits
-def alpha_via_operator(n: int, variant: str = PRODUCTION_ALPHA_VARIANT) -> BinomialPoly:
-    """alpha_n from the shift-operator product applied to vandermonde(n).
+def alpha_via_operator(n: int) -> BinomialPoly:
+    """alpha_n from Fischer's operator formula applied to vandermonde(n).
 
-    Each pair factor is id + E_outer^h Delta_inner: one pass lowers the
-    inner axis by the difference row, one re-expands the outer axis by the
-    shift row, and the operand is added back.  The factors commute, so the
-    application order over pairs is irrelevant.
+    Each pair factor p < q is id + E_p Delta_q: one pass lowers axis q by
+    the difference row, one re-expands axis p by the h = 1 shift row, and
+    the operand is added back.  The factors commute, so the application
+    order over pairs is irrelevant.
     """
-    if variant not in ALPHA_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {ALPHA_VARIANTS}")
     terms = vandermonde(n).terms
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            outer, h, inner = {
-                "printed": (q, 1, p),
-                "pair_minus_Ep": (p, 1, q),
-                "inverse_form": (p, -1, q),
-            }[variant]
-            diff = axis_transform(terms, inner - 1, _difference_row)
-            step = axis_transform(diff, outer - 1, partial(_translation_row, h=h))
-            for e, c in terms.items():
-                step[e] = step.get(e, 0) + c
-            terms = {e: c for e, c in step.items() if c}
-            _check_cap(len(terms))
+    for p, q in combinations(range(n), 2):  # 0-based axes
+        diff = axis_transform(terms, q, _difference_row)
+        step = axis_transform(diff, p, partial(_translation_row, h=1))
+        for e, c in terms.items():
+            step[e] = step.get(e, 0) + c
+        terms = {e: c for e, c in step.items() if c}
+        _check_cap(len(terms))
     return BinomialPoly._of(n, terms)
-
-
-def select_operator_variants(n_max: int = 5) -> list[str]:
-    """Variants that match the recursion term-identically for all n <= n_max."""
-    survivors = []
-    for variant in ALPHA_VARIANTS:
-        if all(alpha_via_operator(n, variant) == alpha_via_recursion(n) for n in range(1, n_max + 1)):
-            survivors.append(variant)
-    return survivors

@@ -12,13 +12,13 @@ from itertools import combinations
 import pytest
 
 from asmlab import (
-    ALPHA_VARIANTS,
     GammaSpec,
     IndexTuplePair,
     a_nij,
     a_nij_direct,
     a_nk,
     alpha_via_operator,
+    alpha_via_recursion,
     asm_reflect_antidiagonal,
     asm_reflect_horizontal,
     asm_rotate_90,
@@ -42,13 +42,13 @@ from asmlab import (
     reflect_antidiagonal,
     reflect_horizontal,
     rotate_90,
-    select_operator_variants,
     special_point,
     stroganov_b,
     triangle_to_asm,
     validate,
     verify_theorem7,
 )
+from test_poly import PRINTED_PAIR_FACTORS, is_printed_product
 
 TOTALS = [1, 2, 7, 42, 429, 7436, 218348]
 
@@ -112,11 +112,16 @@ def test_criterion_04_expansion_reconstruction():
 
 
 def test_criterion_05_operator_variant_selection():
-    survivors = select_operator_variants(5)
-    assert len(survivors) == 1, survivors
-    assert survivors[0] in ALPHA_VARIANTS
-    # the rejected as-printed operator product already fails at order 2
-    assert alpha_via_operator(2, "printed").evaluate_int([1, 2]) == 0
+    # of the printed pair factors, only id + E_p E_q - E_p gives alpha_n at
+    # every order; the pointwise reference settles n <= 4
+    first_wrong = {
+        variant: next((n for n in range(1, 5) if not is_printed_product(alpha_via_recursion(n), variant)), None)
+        for variant in PRINTED_PAIR_FACTORS
+    }
+    assert first_wrong == {"printed": 2, "pair_minus_Ep": None, "inverse_form": 3}, first_wrong
+    # alpha_via_operator applies that factor and equals the recursion term for term
+    for n in range(1, 6):
+        assert alpha_via_operator(n) == alpha_via_recursion(n)
     report(5, "unique surviving operator variant")
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -198,11 +199,15 @@ def test_unknown_subcommand_exits_two(capsys):
 # ---------------------------------------------------------------------------
 
 
-def run_process(*argv, env=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **options):
+def run_process(*argv, env=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, recursion_limit=None, **options):
     src = os.path.dirname(os.path.dirname(os.path.abspath(asmlab.__file__)))
     full_env = dict(os.environ, PYTHONPATH=src, **(env or {}))
+    launch = ["-m", "asmlab.cli"]
+    if recursion_limit is not None:
+        script = f"import sys; sys.setrecursionlimit({recursion_limit}); from asmlab.cli import main; sys.exit(main())"
+        launch = ["-c", script]
     proc = subprocess.run(
-        [sys.executable, "-m", "asmlab.cli", *argv],
+        [sys.executable, *launch, *argv],
         env=full_env,
         stdout=stdout,
         stderr=stderr,
@@ -237,12 +242,26 @@ def test_term_cap_hit_names_the_construction():
 
 
 def test_term_cap_hit_at_a_large_order_is_usage_error():
-    # alpha_400 is built upward, so the cap stops it at a small order
-    # instead of a recursion 400 orders deep
-    code, _, err = run_process("coeff", "--n", "400", "--s", "1", env={"ASMLAB_TERM_CAP": "1000"})
+    # alpha_256, the largest order the packed keys hold, is built upward, so
+    # the cap stops it at a small order; a recursion 256 orders deep, two
+    # frames per order, would pass the limit of 300 first
+    code, _, err = run_process(
+        "coeff", "--n", "256", "--s", "1", env={"ASMLAB_TERM_CAP": "1000"}, recursion_limit=300
+    )
     assert_usage_error(code, err)
     assert len(err.splitlines()) == 1
     assert "alpha_via_recursion(n=" in err
+
+
+def test_order_past_the_exponent_limit_is_usage_error_at_once():
+    # alpha_300 has exponents up to 299, past the 255 a key byte holds, so no
+    # term cap can help; it is refused before any lower order is built
+    start = time.monotonic()
+    code, _, err = run_process("coeff", "--n", "300", "--s", "1")
+    assert time.monotonic() - start < 10
+    assert_usage_error(code, err)
+    assert len(err.splitlines()) == 1
+    assert "alpha_via_recursion(300) could raise an exponent to 299, above 255" in err
 
 
 # an empty PYTHONUNBUFFERED buffers stdout: count's one line fails only at the

@@ -1,24 +1,23 @@
 """Sparse exact polynomial engine and the triangle-counting polynomial."""
 
+import sys
+import traceback
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial, prod
+from math import factorial, inf, prod
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from asmlab import (
-    ALPHA_VARIANTS,
-    PRODUCTION_ALPHA_VARIANT,
     BinomialPoly,
     TermCapExceeded,
     alpha_via_operator,
     alpha_via_recursion,
     apply_sigma,
     count_triangles,
-    select_operator_variants,
     summation_operator,
     vandermonde,
 )
@@ -91,7 +90,7 @@ def test_permute_and_negate():
 def test_substitute_and_specialize():
     p = BinomialPoly(2, {(1, 1): 1})
     assert p.shift(1, 5).evaluate([0, 3]) == 15  # (k_1 + 5) k_2
-    assert p.evaluate_int([4, 6]) == 24
+    assert p.evaluate([4, 6]) == 24
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -395,7 +394,7 @@ def test_alpha_matches_brute_force_on_strict_rows(n):
 
     alpha = alpha_via_recursion(n)
     for bottom in combinations(range(1, n + 3), n):
-        assert alpha.evaluate_int(list(bottom)) == count_triangles(bottom)
+        assert alpha.evaluate(list(bottom)) == count_triangles(bottom)
 
 
 def test_alpha_7_matches_brute_force_on_strict_rows():
@@ -403,7 +402,7 @@ def test_alpha_7_matches_brute_force_on_strict_rows():
 
     alpha = alpha_via_recursion(7)
     for bottom in combinations(range(1, 10), 7):
-        assert alpha.evaluate_int(list(bottom)) == count_triangles(bottom)
+        assert alpha.evaluate(list(bottom)) == count_triangles(bottom)
 
 
 @pytest.mark.parametrize(
@@ -424,22 +423,38 @@ def test_term_cap_inside_the_summation_operator(monkeypatch):
 
 
 def test_term_cap_stops_a_large_order_before_any_deep_recursion(monkeypatch):
+    # alpha_256 is the largest order the packed keys hold.  Two Python frames
+    # per nested order would pass 200 more frames than this test stands on.
     monkeypatch.setenv(TERM_CAP_ENV, "1000")
-    with pytest.raises(TermCapExceeded) as exc:
-        alpha_via_recursion(400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 200)
+    try:
+        with pytest.raises(TermCapExceeded) as exc:
+            alpha_via_recursion(256)
+    finally:
+        sys.setrecursionlimit(limit)
     # the first order past 1,000 terms is at most alpha_8, whichever are cached
     assert exc.value.construction == "alpha_via_recursion" and exc.value.n <= 8
 
 
+def test_an_order_past_the_exponent_limit_requests_no_lower_order():
+    before = alpha_via_recursion.cache_info()
+    with pytest.raises(ValueError, match=r"alpha_via_recursion\(257\) could raise an exponent to 256, above 255"):
+        alpha_via_recursion(257)
+    after = alpha_via_recursion.cache_info()
+    # the refused call is the one miss; a lower order would be a hit or a miss
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+
+
 def test_alpha_at_degenerate_point_is_zero():
     # (1,1,1) admits no strict middle row, and the polynomial agrees
-    assert alpha_via_recursion(3).evaluate_int([1, 1, 1]) == 0
+    assert alpha_via_recursion(3).evaluate([1, 1, 1]) == 0
 
 
 def test_alpha_small_values():
     alpha2 = alpha_via_recursion(2)
-    assert alpha2.evaluate_int([1, 2]) == 2
-    assert alpha2.evaluate_int([1, 3]) == 3  # k2 - k1 + 1
+    assert alpha2.evaluate([1, 2]) == 2
+    assert alpha2.evaluate([1, 3]) == 3  # k2 - k1 + 1
 
 
 def test_summation_operator_builds_alpha():
@@ -448,13 +463,18 @@ def test_summation_operator_builds_alpha():
     assert summation_operator(alpha_via_recursion(2)) == alpha3
 
 
-#: each variant's pair factor as printed next to ALPHA_VARIANTS, as
-#: {(shift of k_p, shift of k_q): coefficient}
+#: the pair factors printed for Fischer's operator formula, as
+#: {(shift of k_p, shift of k_q): coefficient}.  `alpha_via_operator` applies
+#: pair_minus_Ep; the other two are the rejected readings, and this pointwise
+#: product is the reference that selects among them.
 PRINTED_PAIR_FACTORS = {
     "printed": {(0, 0): 1, (1, 1): 1, (0, 1): -1},  # id + E_p E_q - E_q
     "pair_minus_Ep": {(0, 0): 1, (1, 1): 1, (1, 0): -1},  # id + E_p E_q - E_p
     "inverse_form": {(0, 0): 1, (-1, 1): 1, (-1, 0): -1},  # id + E_q E_p^-1 - E_p^-1
 }
+
+#: the order from which a rejected factor's product is no longer alpha_n
+FIRST_WRONG_ORDER = {"printed": 2, "inverse_form": 3}
 
 
 def operator_product(variant, n):
@@ -479,30 +499,28 @@ def normalized_vandermonde(x):
     return prod(x[j] - x[i] for i, j in pairs) // prod(j - i for i, j in pairs)
 
 
-@pytest.mark.parametrize("variant", ALPHA_VARIANTS)
-@pytest.mark.parametrize("n", range(1, 5))
-def test_operator_variant_is_its_printed_formula(variant, n):
-    # shifts keep degrees, so both sides have degree at most n - 1 in each
-    # variable and the grid {0..n-1}^n decides equality
-    poly = alpha_via_operator(n, variant)
+def is_printed_product(poly, variant):
+    """Whether poly is the variant's operator product applied to the
+    normalized Vandermonde product.  Shifts keep degrees, so that product has
+    degree at most n - 1 in each variable; poly must too, and the grid
+    {0..n-1}^n then decides equality."""
+    n = poly.arity
     assert poly.max_degree() <= n - 1
     operator = operator_product(variant, n)
-    for x in grid(n, n):
-        expected = sum(
-            coef * normalized_vandermonde([v + d for v, d in zip(x, shift)])
-            for shift, coef in operator.items()
-        )
-        assert value_at(poly, x) == expected, x
+    return all(
+        value_at(poly, x)
+        == sum(coef * normalized_vandermonde([v + d for v, d in zip(x, shift)]) for shift, coef in operator.items())
+        for x in grid(n, n)
+    )
 
 
-@pytest.mark.parametrize("variant", ALPHA_VARIANTS)
-def test_operator_variants_defined(variant):
-    poly = alpha_via_operator(2, variant)
-    assert poly.arity == 2
-
-
-def test_variant_selection_is_unique():
-    assert select_operator_variants(5) == [PRODUCTION_ALPHA_VARIANT]
+@pytest.mark.parametrize("variant", PRINTED_PAIR_FACTORS)
+@pytest.mark.parametrize("n", range(1, 5))  # n = 5 takes about 35 s pointwise
+def test_operator_variant_is_its_printed_formula(variant, n):
+    # alpha_via_operator is the pair_minus_Ep product at every order; a
+    # rejected factor's product agrees with it only below its first wrong order
+    agrees = is_printed_product(alpha_via_operator(n), variant)
+    assert agrees == (n < FIRST_WRONG_ORDER.get(variant, inf))
 
 
 def test_production_variant_agrees_with_recursion():
@@ -511,9 +529,11 @@ def test_production_variant_agrees_with_recursion():
 
 
 def test_printed_variant_fails_at_order_two():
-    # the rejected operator gives k2 - k1 - 1, which is 0 at (1, 2)
-    poly = alpha_via_operator(2, "printed")
-    assert poly.evaluate_int([1, 2]) == 0
+    # the rejected operator gives k2 - k1 - 1, which is 0 at (1, 2), where
+    # alpha_2 = k2 - k1 + 1 counts 2 triangles
+    printed = operator_product("printed", 2)
+    assert sum(coef * normalized_vandermonde([1 + dp, 2 + dq]) for (dp, dq), coef in printed.items()) == 0
+    assert alpha_via_operator(2).evaluate([1, 2]) == 2
 
 
 def test_vandermonde_normalization():
