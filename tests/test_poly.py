@@ -423,8 +423,9 @@ def test_term_cap_inside_the_summation_operator(monkeypatch):
 
 
 def test_term_cap_stops_a_large_order_before_any_deep_recursion(monkeypatch):
-    # alpha_256 is the largest order the packed keys hold.  Two Python frames
-    # per nested order would pass 200 more frames than this test stands on.
+    # alpha_256 is the largest order the packed keys hold.  A recursion one
+    # order per level nests two frames per order, about 512 here, and would
+    # pass a limit 200 frames above this test; the upward build stays below it.
     monkeypatch.setenv(TERM_CAP_ENV, "1000")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(traceback.extract_stack()) + 200)
