@@ -57,6 +57,13 @@ def _warn(args, message: str) -> None:
         _stderr(f"warning: {message}")
 
 
+def _warn_brute_force(args, n) -> None:
+    """`count_trapezoids` has no bound in n; warn past the cap that
+    `count triangles` applies to its bottom row."""
+    if n > SINGLE_COUNT_CAP:
+        _warn(args, f"brute-force count for n above {SINGLE_COUNT_CAP}; this may take a while")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -77,6 +84,7 @@ def cmd_count(args) -> int:
             raise UsageError("count trapezoids requires --n")
         s = _int_list(args.removed)
         i = _int_list(args.top)
+        _warn_brute_force(args, args.n)
         try:
             print(enumeration.count_trapezoids(args.n, s, i))
         except ValueError as exc:
@@ -88,6 +96,8 @@ def cmd_coeff(args) -> int:
     n = args.n
     s = _int_list(args.s)
     i = _int_list(args.i)
+    if args.method in ("brute", "both"):
+        _warn_brute_force(args, n)
     try:
         pair = coefficients.IndexTuplePair(n, s, i)
         if args.method in ("extract", "both"):

@@ -9,11 +9,14 @@ All arithmetic is on Python integers.  Every division goes through
 formula that stops being integral fails loudly instead of rounding.
 
 Each object is computed once per order n, in a bounded per-n memo: A_n, one
-step up from the largest order known; the row a_nk(n, 1..n); the n x n table
-of Stroganov's B(n; i, j), from one O(n^2) pass of prefix sums along each
-diagonal j - i; and the signed binomial weights of `a_nij`, one row per j.
-`a_nij` reads the B table; `a_nij_direct` is its own double sum over a_nk and
-never touches the B table, so it stays a cross-check.
+step up from the largest order known; the row a_nk(n, 1..n), which is A_{n-1}
+times the small row u(n, k) = C(n+k-2, k-1) C(2n-k-1, n-k) over
+C(2n-2, n-1); the n x n table of Stroganov's B(n; i, j), from one O(n^2) pass
+of prefix sums along each diagonal j - i over the u rows of orders n and
+n - 1, with one scale by A_{n-2} per cell; and the signed binomial weights of
+`a_nij`, one row per j.  `a_nij` reads the B table; `a_nij_direct` is its own
+sum over a_nk, one pair of dot products with one signed weight row per l, and
+never touches the B table or those weights, so it stays a cross-check.
 """
 
 from __future__ import annotations
@@ -55,19 +58,21 @@ def asm_total(n: int) -> int:
     return total
 
 
+def _u_row(n: int) -> tuple[int, ...]:
+    """u(n, k) = C(n+k-2, k-1) C(2n-k-1, n-k) for k = 1..n, so that
+    a_nk(n, k) = A_{n-1} u(n, k) / C(2n-2, n-1)."""
+    return tuple(comb(n + k - 2, k - 1) * comb(2 * n - k - 1, n - k) for k in range(1, n + 1))
+
+
 @lru_cache(maxsize=256)
 def _a_row(n: int) -> tuple[int, ...]:
     """(a_nk(n, 1), ..., a_nk(n, n)), by the refined product formula
-    a_nk = A_{n-1} C(n+k-2, k-1) C(2n-k-1, n-k) / C(2n-2, n-1)."""
+    a_nk = A_{n-1} u(n, k) / C(2n-2, n-1)."""
     smaller = asm_total(n - 1) if n > 1 else 1
     divisor = comb(2 * n - 2, n - 1)
     return tuple(
-        _exact_div(
-            smaller * comb(n + k - 2, k - 1) * comb(2 * n - k - 1, n - k),
-            divisor,
-            f"refined count for n={n}, k={k}",
-        )
-        for k in range(1, n + 1)
+        _exact_div(smaller * u, divisor, f"refined count for n={n}, k={k}")
+        for k, u in enumerate(_u_row(n), 1)
     )
 
 
@@ -80,10 +85,17 @@ def a_nk(n: int, k: int) -> int:
     return _a_row(n)[k - 1]
 
 
+def _padded(row: tuple[int, ...]) -> list[int]:
+    """A row of order m = len(row), entry k at index k + m for
+    -m <= k <= 2m + 1, zero outside 1..m, so the sums below index it without
+    range tests."""
+    m = len(row)
+    return [0] * (m + 1) + list(row) + [0] * (m + 2)
+
+
 def _padded_row(m: int) -> list[int]:
-    """a_nk(m, k) at index k + m for -m <= k <= 2m + 1, zero outside 1..m,
-    so the sums below index it without range tests."""
-    return [0] * (m + 1) + list(_a_row(m)) + [0] * (m + 2)
+    """a_nk(m, k) at index k + m, padded as by `_padded`."""
+    return _padded(_a_row(m))
 
 
 @lru_cache(maxsize=64)
@@ -94,10 +106,15 @@ def _b_table(n: int) -> tuple[tuple[int, ...], ...]:
     term(l, delta) = a(n-1, l-1) (a(n, delta+l) - a(n, delta+l-1))
                    + a(n-1, delta+l-1) (a(n, l) - a(n, l-1)),
     so along each diagonal of fixed delta the numerators are prefix sums.
+    Each term is a(n-1, .) times a difference of a(n, .), and
+    a(m, k) = A_{m-1} u(m, k) / C(2m-2, m-1), so the sums S run over the
+    small u rows and B = A_{n-2} S / (C(2n-2, n-1) C(2n-4, n-2)), A_0 = 1.
+    The full numerator is divided exactly in every cell.
     """
-    cur, prev = _padded_row(n), _padded_row(n - 1)
-    p = n - 1  # a(n, k) = cur[k + n], a(n-1, k) = prev[k + p]
-    divisor = asm_total(n - 1)
+    cur, prev = _padded(_u_row(n)), _padded(_u_row(n - 1))
+    p = n - 1  # u(n, k) = cur[k + n], u(n-1, k) = prev[k + p]
+    scale = asm_total(n - 2) if n > 2 else 1
+    divisor = comb(2 * n - 2, n - 1) * comb(2 * n - 4, n - 2)
     table = [[0] * n for _ in range(n)]
     for delta in range(1 - n, n):
         partial = 0
@@ -107,7 +124,7 @@ def _b_table(n: int) -> tuple[tuple[int, ...], ...]:
                 + prev[delta + i - 1 + p] * (cur[i + n] - cur[i - 1 + n])
             )
             if i + delta >= 1:
-                table[i - 1][i + delta - 1] = _exact_div(partial, divisor, f"B({n},{i},{i + delta})")
+                table[i - 1][i + delta - 1] = _exact_div(scale * partial, divisor, f"B({n},{i},{i + delta})")
     return tuple(tuple(row) for row in table)
 
 
@@ -145,19 +162,23 @@ def a_nij(n: int, i: int, j: int) -> int:
 def a_nij_direct(n: int, i: int, j: int) -> int:
     """Single-formula version of a_nij with the summation indices untangled;
     must agree with the composition and is used as a cross-check.  Reads
-    only a_nk, never the B table."""
+    only a_nk, never the B table or the weights of `a_nij`.
+
+    With k = l - i + j + t the double sum over l and k has the weight
+    (-1)^(n+j+t) C(2n-2-j, t), independent of l, so each l takes two dot
+    products of that one weight row: with the differences of a(n, .) and with
+    a(n-1, .), both read from k = l - i + j on."""
     _check_pair(n, i, j)
     cur, prev = _padded_row(n), _padded_row(n - 1)
     p = n - 1  # a(n, k) = cur[k + n], a(n-1, k) = prev[k + p]
+    diff = [0] + [b - a for a, b in zip(cur, cur[1:])]  # a(n, k) - a(n, k-1) at k + n
+    weights = [(-1) ** ((n + j + t) % 2) * comb(2 * n - 2 - j, t) for t in range(n - j + 1)]
     total = 0
     for l in range(1, i + 1):
-        for k in range(l - i + j, l - i + n + 1):
-            sign = -1 if (n + i + k + l) % 2 else 1
-            weight = comb(2 * n - 2 - j, k - l + i - j)
-            total += sign * weight * (
-                prev[l - 1 + p] * (cur[k + n] - cur[k - 1 + n])
-                + prev[k - 1 + p] * (cur[l + n] - cur[l - 1 + n])
-            )
+        k = l - i + j
+        over_cur = sum(map(mul, weights, diff[k + n :]))
+        over_prev = sum(map(mul, weights, prev[k - 1 + p :]))
+        total += prev[l - 1 + p] * over_cur + diff[l + n] * over_prev
     return _exact_div(total, asm_total(n - 1), f"A({n};{i},{j})")
 
 

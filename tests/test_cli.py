@@ -300,6 +300,27 @@ def test_closed_stderr_drops_the_warning_and_counts():
     assert run_without_stderr("count", "triangles", "--bottom", "1,2,3,4,5,6,7,8,9") == (0, "911835460\n")
 
 
+BRUTE_FORCE_PAST_THE_CAP = {
+    # n = 9 is past SINGLE_COUNT_CAP, and one top row makes both counts cheap
+    "count": ("count", "trapezoids", "--n", "9", "--removed", "1", "--top", "2,3,4,5,6,7,8,9"),
+    "coeff": ("coeff", "--method", "brute", "--n", "9", "--s", "1", "--i", "2,3,4,5,6,7,8,9"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BRUTE_FORCE_PAST_THE_CAP))
+def test_brute_force_past_the_cap_warns(command):
+    argv = BRUTE_FORCE_PAST_THE_CAP[command]
+    code, out, err = run_process(*argv)
+    assert (code, out) == (0, "1\n")
+    assert err.startswith("warning: ") and len(err.splitlines()) == 1, err
+    assert run_process("--quiet", *argv) == (0, "1\n", "")
+
+
+def test_brute_force_within_the_cap_does_not_warn():
+    code, out, err = run_process("count", "trapezoids", "--n", "8", "--removed", "1", "--top", "2,3,4,5,6,7,8")
+    assert (code, out, err) == (0, "1\n", "")
+
+
 class ClosedStream:
     """A stderr whose every write fails, as on a closed fd 2."""
 

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import random
 
 import pytest
 
@@ -84,11 +85,48 @@ def test_two_row_closed_form_matches_extraction_everywhere(n):
             assert a_nij(n, i, j) == extract_coefficient(IndexTuplePair(n, (i, j))), (n, i, j)
 
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_direct_form_agrees(n):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             assert a_nij_direct(n, i, j) == a_nij(n, i, j), (n, i, j)
+
+
+def test_direct_form_agrees_on_a_sample_at_sixty():
+    rng = random.Random(60)
+    for _ in range(40):
+        i, j = rng.randint(1, 60), rng.randint(1, 60)
+        assert a_nij_direct(60, i, j) == a_nij(60, i, j), (i, j)
+
+
+def unscaled_stroganov_table(n):
+    """Stroganov's prefix sums over the a_nk rows themselves, each cell
+    divided by A_{n-1}: the reference for the table built from u rows."""
+    from asmlab.closed_forms import _padded_row
+
+    cur, prev = _padded_row(n), _padded_row(n - 1)
+    p = n - 1
+    table = [[None] * n for _ in range(n)]
+    for delta in range(1 - n, n):
+        partial = 0
+        for i in range(1, min(n, n - delta) + 1):
+            partial += (
+                prev[i - 1 + p] * (cur[delta + i + n] - cur[delta + i - 1 + n])
+                + prev[delta + i - 1 + p] * (cur[i + n] - cur[i - 1 + n])
+            )
+            if i + delta >= 1:
+                quotient, remainder = divmod(partial, asm_total(n - 1))
+                assert remainder == 0, (n, i, i + delta)
+                table[i - 1][i + delta - 1] = quotient
+    return table
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 60])
+def test_scaled_table_matches_the_unscaled_prefix_sums(n):
+    reference = unscaled_stroganov_table(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert stroganov_b(n, i, j) == reference[i - 1][j - 1], (n, i, j)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -167,6 +205,8 @@ def test_direct_form_reads_no_b_table():
     from asmlab import closed_forms
 
     closed_forms._b_table.cache_clear()
+    closed_forms._a_weights.cache_clear()
     a_nij_direct(9, 4, 6)
     assert closed_forms._b_table.cache_info().currsize == 0
+    assert closed_forms._a_weights.cache_info().currsize == 0
     assert a_nij_direct(9, 4, 6) == a_nij(9, 4, 6)
