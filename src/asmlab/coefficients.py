@@ -4,9 +4,11 @@ The coefficients A(n; s_1..s_c; i_1..i_d) are finite differences of the
 (c, d) class polynomial: alpha_n with its middle arguments pinned to
 (c+1, ..., n-d) and removed, in the c + d variables (x_1..x_c, y_1..y_d).
 They are tabulated, checked against the brute-force trapezoid counts, and
-run through the polynomial identities relating them (cyclic rotation,
-reflection/translation, the circuit relation, the linear system, and the
-s/i symmetry).
+run through the polynomial identities relating them: cyclic rotation,
+reflection/translation, s/i symmetry, and the circuit relation, which trades
+s indices for extra i indices.  The linear system is the circuit relation
+with every s index traded, read on all of [1, n]^d, and the two-row relation
+is its case (c, d, t) = (2, 0, 1).
 
 In the binomial basis the differences are index moves: Delta^m C(x, e) =
 C(x, e - m) and nabla^m C(x, e) = C(x - m, e - m).  One difference weight
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from operator import index
 from typing import Sequence
 
@@ -153,14 +155,18 @@ def reconstruct_expansion(table: CoefficientTable) -> VerificationReport:
     return report
 
 
+def _strict_cells(n: int, c: int, d: int):
+    """Every (s, i) of strictly increasing c- and d-tuples in [1, n]."""
+    return product(combinations(range(1, n + 1), c), combinations(range(1, n + 1), d))
+
+
 def verify_theorem7(n: int, c: int, d: int) -> VerificationReport:
     """The (n, c, d) coefficient table against brute-force trapezoid counts,
     over all strictly increasing index tuples."""
     table = coefficient_table(n, c, d)
     report = VerificationReport("coefficient-equals-trapezoid-count", f"n={n}, c={c}, d={d}")
-    for s in combinations(range(1, n + 1), c):
-        for i in combinations(range(1, n + 1), d):
-            report.record({"s": s, "i": i}, count_trapezoids(n, s, i), table[(s, i)])
+    for s, i in _strict_cells(n, c, d):
+        report.record({"s": s, "i": i}, count_trapezoids(n, s, i), table[(s, i)])
     return report
 
 
@@ -198,6 +204,21 @@ def check_reflection_translation(n: int, z: int) -> VerificationReport:
     return report
 
 
+def _traded_sum(table: CoefficientTable, n: int, bases: tuple, s: tuple, i: tuple) -> int:
+    """The traded side of the circuit relation: the sum over extra_l in
+    [bases_l, n] of (-1)^(sum(extra) + t n) prod_l C(2n - k - bases_l,
+    extra_l - bases_l) table[(s, i + extra)], where t = len(bases) and
+    k = len(s) + len(i) + t."""
+    t, k = len(bases), len(s) + len(i) + len(bases)
+    total = 0
+    for extra in product(*[range(base, n + 1) for base in bases]):
+        coeff = table[(s, i + extra)]
+        if coeff:
+            weight = prod(comb(2 * n - k - b, e - b) for b, e in zip(bases, extra))
+            total += (-1) ** (sum(extra) + t * n) * weight * coeff
+    return total
+
+
 def check_circuit(n: int, c: int, d: int, t: int) -> VerificationReport:
     """The relation trading the t largest s-indices for extra i-indices; the
     two sides read the (n, c, d) and (n, c - t, d + t) tables."""
@@ -205,41 +226,20 @@ def check_circuit(n: int, c: int, d: int, t: int) -> VerificationReport:
         raise ValueError("need 0 <= t <= c")
     table, traded = coefficient_table(n, c, d), coefficient_table(n, c - t, d + t)
     report = VerificationReport("circuit-relation", f"n={n}, c={c}, d={d}, t={t}")
-    for s in combinations(range(1, n + 1), c):
-        for i in combinations(range(1, n + 1), d):
-            lhs = table[(s, i)]
-            rhs = 0
-            ranges = [range(s[c - 1 - l], n + 1) for l in range(t)]
-            for extra in product(*ranges):
-                coeff = traded[(s[: c - t], i + extra)]
-                if coeff == 0:
-                    continue
-                sign = -1 if (sum(extra) + t * n) % 2 else 1
-                weight = 1
-                for l in range(1, t + 1):
-                    base = s[c - l]  # s_{c+1-l}
-                    weight *= comb(2 * n - c - d - base, extra[l - 1] - base)
-                rhs += sign * coeff * weight
-            report.record({"s": s, "i": i}, lhs, rhs)
+    for s, i in _strict_cells(n, c, d):
+        report.record({"s": s, "i": i}, table[(s, i)], _traded_sum(traded, n, s[::-1][:t], s[: c - t], i))
     return report
 
 
 def check_system(n: int, d: int) -> VerificationReport:
-    """The n^d linear equations satisfied by the c=0 coefficients."""
+    """The n^d linear equations of the c = 0 coefficients: the circuit
+    relation with every s index traded, read on all of [1, n]^d."""
     if d < 1:
         raise ValueError("need d >= 1")
     report = VerificationReport("linear-system", f"n={n}, d={d}")
     table = coefficient_table(n, 0, d)
     for i in product(range(1, n + 1), repeat=d):
-        lhs = table[((), i)]
-        rhs = 0
-        for j in product(*[range(i[l], n + 1) for l in range(d)]):
-            sign = -1 if (d * n + sum(j)) % 2 else 1
-            weight = 1
-            for l in range(d):
-                weight *= comb(2 * n - i[l] - d, j[l] - i[l])
-            rhs += sign * table[((), tuple(reversed(j)))] * weight
-        report.record({"i": i}, lhs, rhs)
+        report.record({"i": i}, table[((), i)], _traded_sum(table, n, i[::-1], (), ()))
     return report
 
 
@@ -248,9 +248,8 @@ def check_remark_symmetry(n: int, c: int, d: int) -> VerificationReport:
     read from the (n, c, d) table and the right from the (n, d, c) table."""
     table, swapped = coefficient_table(n, c, d), coefficient_table(n, d, c)
     report = VerificationReport("s-i-symmetry", f"n={n}, c={c}, d={d}")
-    for s in combinations(range(1, n + 1), c):
-        for i in combinations(range(1, n + 1), d):
-            report.record({"s": s, "i": i}, table[(s, i)], swapped[(i, s)])
+    for s, i in _strict_cells(n, c, d):
+        report.record({"s": s, "i": i}, table[(s, i)], swapped[(i, s)])
     return report
 
 

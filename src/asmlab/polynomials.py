@@ -94,9 +94,9 @@ def _check_cap(terms: int) -> None:
         raise TermCapExceeded(terms, cap)
 
 
-def _names_cap_hits(build, name: str | None = None):
-    """Tag a TermCapExceeded raised inside build(n, ...) with `name` (by
-    default the build's own name) and n; the innermost tagged build wins."""
+def _names_cap_hits(build):
+    """Tag a TermCapExceeded raised inside build(n, ...) with the build's name
+    and n; the innermost tagged build wins."""
 
     @wraps(build)
     def wrapper(n, *args, **kwargs):
@@ -104,7 +104,7 @@ def _names_cap_hits(build, name: str | None = None):
             return build(n, *args, **kwargs)
         except TermCapExceeded as exc:
             if exc.construction is None:
-                exc.construction, exc.n = name or build.__name__, n
+                exc.construction, exc.n = build.__name__, n
             raise
 
     return wrapper
@@ -375,7 +375,7 @@ class BinomialPoly:
         return BinomialPoly._of(arity, self.terms)
 
 
-@partial(_names_cap_hits, name="vandermonde")
+@_names_cap_hits
 def vandermonde(n: int) -> BinomialPoly:
     """The normalized Vandermonde product prod_{i<j} (k_j - k_i) / (j - i).
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -125,6 +126,18 @@ def test_verify_theorem7_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "theorem7", "--n-max", "3")
     assert code == 0
     assert all(line.endswith("pass") for line in out.strip().splitlines())
+
+
+def test_verify_all_to_five_prints_the_recorded_lines(capsys):
+    # every line and its order; `circuit` lines run t = 1..c, since at t = 0
+    # both sides read the same table
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "5")
+    assert code == 0
+    assert len(out.splitlines()) == 181
+    assert "t=0" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "888464184bed206f0ff55a42edf789f910afbbdc79fef77c8bcd811344399f78"
+    )
 
 
 def test_transform_roundtrip(tmp_path, capsys):

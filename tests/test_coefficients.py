@@ -167,6 +167,7 @@ def test_table_checks_read_every_cell_they_compare(monkeypatch):
         (lambda: verify_theorem7(4, 1, 2), (4, 1, 2), ((2,), (1, 3))),
         (lambda: check_circuit(4, 1, 1, 1), (4, 1, 1), ((2,), (1,))),
         (lambda: check_circuit(4, 1, 1, 1), (4, 0, 2), ((), (1, 3))),
+        (lambda: check_system(4, 2), (4, 0, 2), ((), (3, 1))),
         (lambda: check_remark_symmetry(4, 1, 2), (4, 1, 2), ((2,), (1, 3))),
         (lambda: check_remark_symmetry(4, 1, 2), (4, 2, 1), ((1, 3), (2,))),
         (lambda: check_relation(4), (4, 2, 0), ((1, 3), ())),
@@ -183,6 +184,10 @@ def test_table_checks_read_every_cell_they_compare(monkeypatch):
                 strict = comb(n, c) * comb(n, d)
                 assert verify_theorem7(n, c, d).cases == strict
                 assert check_remark_symmetry(n, c, d).cases == strict
+                for t in range(c + 1):
+                    assert check_circuit(n, c, d, t).cases == strict
+        for d in range(1, n + 1):
+            assert check_system(n, d).cases == n**d
 
 
 @pytest.mark.parametrize("n,c,d", [(2, 1, 1), (3, 1, 1), (4, 2, 1), (4, 0, 2)])
