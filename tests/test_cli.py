@@ -129,8 +129,8 @@ def test_verify_theorem7_suite(capsys):
 
 
 def test_verify_all_to_five_prints_the_recorded_lines(capsys):
-    # every line and its order; `circuit` lines run t = 1..c, since at t = 0
-    # both sides read the same table
+    # every line and its order; a deliberate change to verify's stdout
+    # records new constants here
     code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "5")
     assert code == 0
     assert len(out.splitlines()) == 181
