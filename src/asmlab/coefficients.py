@@ -7,8 +7,10 @@ They are tabulated, checked against the brute-force trapezoid counts, and
 run through the polynomial identities relating them: cyclic rotation,
 reflection/translation, s/i symmetry, and the circuit relation, which trades
 s indices for extra i indices.  The linear system is the circuit relation
-with every s index traded, read on all of [1, n]^d, and the two-row relation
-is its case (c, d, t) = (2, 0, 1).
+with every s index traded, read on all of [1, n]^d.  The two-row relation,
+from which the paper builds a_nij, is the circuit relation at (c, d, t) =
+(2, 0, 1).  The s/i symmetry check of (c, d) makes the comparisons of
+(d, c) with each side swapped, so one check covers the unordered {c, d}.
 
 In the binomial basis the differences are index moves: Delta^m C(x, e) =
 C(x, e - m) and nabla^m C(x, e) = C(x - m, e - m).  One difference weight
@@ -245,22 +247,14 @@ def check_system(n: int, d: int) -> VerificationReport:
 
 def check_remark_symmetry(n: int, c: int, d: int) -> VerificationReport:
     """A(n; s; i) = A(n; i; s) for strictly increasing tuples, the left side
-    read from the (n, c, d) table and the right from the (n, d, c) table."""
-    table, swapped = coefficient_table(n, c, d), coefficient_table(n, d, c)
+    read from the (n, c, d) table and the right from the (n, d, c) table,
+    which is the same table when c = d.  The (n, d, c) check makes the same
+    comparisons with each side swapped, so `verify` runs only c <= d."""
+    table = coefficient_table(n, c, d)
+    swapped = table if c == d else coefficient_table(n, d, c)
     report = VerificationReport("s-i-symmetry", f"n={n}, c={c}, d={d}")
     for s, i in _strict_cells(n, c, d):
         report.record({"s": s, "i": i}, table[(s, i)], swapped[(i, s)])
-    return report
-
-
-def check_relation(n: int) -> VerificationReport:
-    """A(n; s_1, s_2; -) as an alternating sum of A(n; s_1; i): the circuit
-    relation with (c, d, t) = (2, 0, 1), reading the (n, 2, 0) and (n, 1, 1)
-    tables."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    report = check_circuit(n, 2, 0, 1)
-    report.identity, report.parameter_range = "two-row-from-doubly-refined", f"n={n}"
     return report
 
 

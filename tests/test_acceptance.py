@@ -27,7 +27,6 @@ from asmlab import (
     check_cyclic,
     check_near_symmetry,
     check_reflection_translation,
-    check_relation,
     check_remark_symmetry,
     check_system,
     coefficient_table,
@@ -168,7 +167,7 @@ def test_criterion_08_identity_suite():
             if d <= n:
                 assert check_system(n, d).passed(), (n, d)
     for n in range(2, 7):
-        assert check_relation(n).passed(), n
+        assert check_circuit(n, 2, 0, 1).passed(), n
     for n in range(3, 7):
         assert check_near_symmetry(n).passed(), n
     report(8, "polynomial identity suite")

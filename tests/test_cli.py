@@ -133,11 +133,26 @@ def test_verify_all_to_five_prints_the_recorded_lines(capsys):
     # records new constants here
     code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "5")
     assert code == 0
-    assert len(out.splitlines()) == 181
+    assert len(out.splitlines()) == 150
     assert "t=0" not in out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "888464184bed206f0ff55a42edf789f910afbbdc79fef77c8bcd811344399f78"
+        "67bd4dd78af70f4d360704da7b8e155481fc6976f70da948916d48b05bd2443d"
     )
+
+
+def test_verify_lists_each_comparison_once():
+    # only the listing: no check runs
+    for n_max in range(1, 8):
+        cases = list(cli._verify_cases("all", n_max))
+        labels = [label for label, _, _ in cases]
+        assert not any(label.startswith("relation") for label in labels)
+        symmetry = [args for label, _, args in cases if label.startswith("symmetry ")]
+        assert all(c <= d and c + d >= 1 for _, c, d in symmetry)
+        for n in range(1, n_max + 1):
+            unordered = [(c, d) for c in range(n + 1) for d in range(c, n + 1 - c) if c + d >= 1]
+            assert sorted((c, d) for m, c, d in symmetry if m == n) == unordered, n
+            # the two-row relation
+            assert (f"circuit n={n} c=2 d=0 t=1" in labels) == (n >= 2), n
 
 
 def test_transform_roundtrip(tmp_path, capsys):

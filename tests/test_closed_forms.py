@@ -13,8 +13,8 @@ from asmlab import (
     a_nij_direct,
     a_nk,
     asm_total,
+    check_circuit,
     check_near_symmetry,
-    check_relation,
     count_trapezoids,
     extract_coefficient,
     refined_counts,
@@ -131,7 +131,8 @@ def test_scaled_table_matches_the_unscaled_prefix_sums(n):
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_relation_identity(n):
-    assert check_relation(n).passed()
+    # the two-row relation is the circuit relation at (c, d, t) = (2, 0, 1)
+    assert check_circuit(n, 2, 0, 1).passed()
 
 
 @pytest.mark.parametrize("n", range(3, 7))

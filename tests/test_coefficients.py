@@ -14,7 +14,6 @@ from asmlab import (
     check_cyclic,
     check_gamma_formula,
     check_reflection_translation,
-    check_relation,
     check_remark_symmetry,
     check_system,
     coefficient_table,
@@ -170,8 +169,9 @@ def test_table_checks_read_every_cell_they_compare(monkeypatch):
         (lambda: check_system(4, 2), (4, 0, 2), ((), (3, 1))),
         (lambda: check_remark_symmetry(4, 1, 2), (4, 1, 2), ((2,), (1, 3))),
         (lambda: check_remark_symmetry(4, 1, 2), (4, 2, 1), ((1, 3), (2,))),
-        (lambda: check_relation(4), (4, 2, 0), ((1, 3), ())),
-        (lambda: check_relation(4), (4, 1, 1), ((1,), (3,))),
+        (lambda: check_remark_symmetry(4, 1, 1), (4, 1, 1), ((1,), (3,))),
+        (lambda: check_circuit(4, 2, 0, 1), (4, 2, 0), ((1, 3), ())),
+        (lambda: check_circuit(4, 2, 0, 1), (4, 1, 1), ((1,), (3,))),
     ]:
         assert check().passed()
         with monkeypatch.context() as patch:
@@ -188,6 +188,19 @@ def test_table_checks_read_every_cell_they_compare(monkeypatch):
                     assert check_circuit(n, c, d, t).cases == strict
         for d in range(1, n + 1):
             assert check_system(n, d).cases == n**d
+
+
+@pytest.mark.parametrize("c,d,builds", [(1, 1, 1), (1, 2, 2), (2, 1, 2)])
+def test_symmetry_builds_one_table_per_class(monkeypatch, c, d, builds):
+    real, calls = coefficients.coefficient_table, []
+
+    def counted(*key):
+        calls.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(coefficients, "coefficient_table", counted)
+    assert check_remark_symmetry(4, c, d).passed()
+    assert len(calls) == builds, calls
 
 
 @pytest.mark.parametrize("n,c,d", [(2, 1, 1), (3, 1, 1), (4, 2, 1), (4, 0, 2)])
