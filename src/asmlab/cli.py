@@ -9,6 +9,9 @@ above 256, whose alpha_n has exponents past the 255 its keys hold, or a stdout
 closed before all output was written, as by `| head -1`), 3 any other error; an error
 prints one `error:` line on stderr and no traceback.  A closed stderr drops
 warnings and the `error:` line and changes no exit status.
+
+Each command imports only the layers it uses, and `--help` loads none.  Every
+command loads `polynomials`, which reads ASMLAB_TERM_CAP.
 """
 
 from __future__ import annotations
@@ -17,11 +20,6 @@ import argparse
 import json
 import os
 import sys
-
-from . import closed_forms, coefficients, enumeration, objects
-from .enumeration import EXHAUSTIVE_FAMILY_CAP, SINGLE_COUNT_CAP, BottomRowSpec
-from .polynomials import TermCapExceeded, term_cap
-from .reports import decimal
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -60,6 +58,8 @@ def _warn(args, message: str) -> None:
 def _warn_brute_force(args, n) -> None:
     """`count_trapezoids` has no bound in n; warn past the cap that
     `count triangles` applies to its bottom row."""
+    from .enumeration import SINGLE_COUNT_CAP
+
     if n > SINGLE_COUNT_CAP:
         _warn(args, f"brute-force count for n above {SINGLE_COUNT_CAP}; this may take a while")
 
@@ -70,12 +70,14 @@ def _warn_brute_force(args, n) -> None:
 
 
 def cmd_count(args) -> int:
+    from . import enumeration
+
     if args.family == "triangles":
         bottom = _int_list(args.bottom)
-        if len(bottom) > SINGLE_COUNT_CAP:
-            _warn(args, f"bottom row longer than {SINGLE_COUNT_CAP}; this may take a while")
+        if len(bottom) > enumeration.SINGLE_COUNT_CAP:
+            _warn(args, f"bottom row longer than {enumeration.SINGLE_COUNT_CAP}; this may take a while")
         try:
-            spec = BottomRowSpec(bottom, weak_bottom=args.weak)
+            spec = enumeration.BottomRowSpec(bottom, weak_bottom=args.weak)
         except ValueError as exc:
             raise UsageError(str(exc))
         print(enumeration.count_triangles(spec))
@@ -93,6 +95,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_coeff(args) -> int:
+    from . import coefficients, enumeration
+
     n = args.n
     s = _int_list(args.s)
     i = _int_list(args.i)
@@ -124,6 +128,9 @@ def cmd_coeff(args) -> int:
 
 def _grid_rows(which, n):
     """CSV rows (lists of strings) for one table kind."""
+    from . import closed_forms
+    from .reports import decimal
+
     if which == "asm_total":
         return [[str(m), decimal(closed_forms.asm_total(m))] for m in range(1, n + 1)]
     if which == "a_nk":
@@ -150,6 +157,8 @@ def cmd_table(args) -> int:
 
 def _verify_cases(suite: str, n_max: int):
     """Ordered (label, check, args); check(*args) returns a VerificationReport."""
+    from . import closed_forms, coefficients
+
     if suite in ("theorem7", "all"):
         for n in range(1, n_max + 1):
             for c in range(0, n + 1):
@@ -198,6 +207,8 @@ def cmd_verify(args) -> int:
 
 def _load_object(args, kind: str):
     """The object in the file of `--in`; a usage error unless it is of `kind`."""
+    from . import objects
+
     try:
         with open(args.infile) as handle:
             value = json.load(handle)
@@ -210,6 +221,8 @@ def _load_object(args, kind: str):
 
 
 def cmd_transform(args) -> int:
+    from . import objects
+
     obj = _load_object(args, "monotone_triangle")
     ops = {
         "ad": objects.reflect_antidiagonal,
@@ -225,6 +238,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from . import objects
+
     try:
         if args.to == "asm":
             result = objects.triangle_to_asm(_load_object(args, "monotone_triangle"))
@@ -308,9 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.n_max > EXHAUSTIVE_FAMILY_CAP:
-        _warn(args, f"exhaustive verification beyond n={EXHAUSTIVE_FAMILY_CAP} may be very slow")
+    args = parser.parse_args(argv)  # exits on --help before any layer loads
+    from .polynomials import TermCapExceeded
+
+    if args.command == "verify":
+        from .enumeration import EXHAUSTIVE_FAMILY_CAP
+
+        if args.n_max > EXHAUSTIVE_FAMILY_CAP:
+            _warn(args, f"exhaustive verification beyond n={EXHAUSTIVE_FAMILY_CAP} may be very slow")
     try:
         if args.jobs < 1:
             raise UsageError("--jobs must be positive")
@@ -335,6 +355,8 @@ def main(argv=None) -> int:
 
 def _check_term_cap() -> None:
     """Reject a malformed ASMLAB_TERM_CAP before any work starts."""
+    from .polynomials import term_cap
+
     try:
         term_cap()
     except ValueError as exc:

@@ -11,12 +11,15 @@ formula that stops being integral fails loudly instead of rounding.
 Each object is computed once per order n, in a bounded per-n memo: A_n, one
 step up from the largest order known; the row a_nk(n, 1..n), which is A_{n-1}
 times the small row u(n, k) = C(n+k-2, k-1) C(2n-k-1, n-k) over
-C(2n-2, n-1); the n x n table of Stroganov's B(n; i, j), from one O(n^2) pass
-of prefix sums along each diagonal j - i over the u rows of orders n and
-n - 1, with one scale by A_{n-2} per cell; and the signed binomial weights of
-`a_nij`, one row per j.  `a_nij` reads the B table; `a_nij_direct` is its own
-sum over a_nk, one pair of dot products with one signed weight row per l, and
-never touches the B table or those weights, so it stays a cross-check.
+C(2n-2, n-1); the n x n table S of small numerators of Stroganov's B(n; i, j),
+from one O(n^2) pass of prefix sums along each diagonal j - i over the u rows
+of orders n and n - 1, with B = A_{n-2} S / D for one divisor D per order; the
+B table, which scales and divides every cell of S; and the signed binomial
+weights of `a_nij`, one row per j.  `a_nij` takes its dot product over the
+small numerators and scales and divides once per cell, so it never multiplies
+the large B cells; `a_nij_direct` is its own sum over a_nk, one pair of dot
+products with one signed weight row per l, and never touches S, the B table or
+those weights, so it stays a cross-check.
 """
 
 from __future__ import annotations
@@ -99,8 +102,9 @@ def _padded_row(m: int) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def _b_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Stroganov's B(n; i, j) for 1 <= i, j <= n, row i at index i - 1.
+def _s_table(n: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """(S, scale, divisor) with Stroganov's B(n; i, j) = scale S[i-1][j-1] /
+    divisor for 1 <= i, j <= n.
 
     B(n; i, i+delta) = (1/A_{n-1}) sum_{l=1}^{i} term(l, delta) with
     term(l, delta) = a(n-1, l-1) (a(n, delta+l) - a(n, delta+l-1))
@@ -109,13 +113,12 @@ def _b_table(n: int) -> tuple[tuple[int, ...], ...]:
     Each term is a(n-1, .) times a difference of a(n, .), and
     a(m, k) = A_{m-1} u(m, k) / C(2m-2, m-1), so the sums S run over the
     small u rows and B = A_{n-2} S / (C(2n-2, n-1) C(2n-4, n-2)), A_0 = 1.
-    The full numerator is divided exactly in every cell.
     """
     cur, prev = _padded(_u_row(n)), _padded(_u_row(n - 1))
     p = n - 1  # u(n, k) = cur[k + n], u(n-1, k) = prev[k + p]
     scale = asm_total(n - 2) if n > 2 else 1
     divisor = comb(2 * n - 2, n - 1) * comb(2 * n - 4, n - 2)
-    table = [[0] * n for _ in range(n)]
+    sums = [[0] * n for _ in range(n)]
     for delta in range(1 - n, n):
         partial = 0
         for i in range(1, min(n, n - delta) + 1):
@@ -124,8 +127,19 @@ def _b_table(n: int) -> tuple[tuple[int, ...], ...]:
                 + prev[delta + i - 1 + p] * (cur[i + n] - cur[i - 1 + n])
             )
             if i + delta >= 1:
-                table[i - 1][i + delta - 1] = _exact_div(scale * partial, divisor, f"B({n},{i},{i + delta})")
-    return tuple(tuple(row) for row in table)
+                sums[i - 1][i + delta - 1] = partial
+    return tuple(tuple(row) for row in sums), scale, divisor
+
+
+@lru_cache(maxsize=64)
+def _b_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Stroganov's B(n; i, j) for 1 <= i, j <= n, row i at index i - 1; the
+    full numerator is divided exactly in every cell."""
+    sums, scale, divisor = _s_table(n)
+    return tuple(
+        tuple(_exact_div(scale * s, divisor, f"B({n},{i},{j})") for j, s in enumerate(row, 1))
+        for i, row in enumerate(sums, 1)
+    )
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -154,9 +168,15 @@ def _a_weights(n: int) -> tuple[tuple[int, ...], ...]:
 
 def a_nij(n: int, i: int, j: int) -> int:
     """Triangles missing i and j from the bottom row (i < j); defined for all
-    index pairs through the alternating sum over Stroganov's numbers."""
+    index pairs through the alternating sum over Stroganov's numbers.
+
+    B = scale S / divisor in every cell, so the sum is taken over the small
+    numerators S and scaled and divided once; the division is exact because
+    each scale S / divisor is."""
     _check_pair(n, i, j)
-    return sum(map(mul, _a_weights(n)[j - 1], _b_table(n)[i - 1][j - 1 :]))
+    sums, scale, divisor = _s_table(n)
+    total = sum(map(mul, _a_weights(n)[j - 1], sums[i - 1][j - 1 :]))
+    return _exact_div(scale * total, divisor, f"A({n};{i},{j})")
 
 
 def a_nij_direct(n: int, i: int, j: int) -> int:

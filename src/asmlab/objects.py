@@ -3,7 +3,10 @@
 Rows of triangles and trapezoids are stored bottom-up: rows[0] is the bottom
 (longest) row.  Matrices are stored top-down as usual.  All objects are
 immutable after construction; `validate` returns a verdict instead of raising
-so that enumerators can use it as a filter.
+so that enumerators can use it as a filter.  Since an object cannot change,
+its verdict is computed once and kept on the instance, outside the dataclass
+fields, so equality, hashing and repr do not see it.  A triangle handed to a
+bijection and then to each symmetry map is checked once.
 
 The public constructors take outside input (user, JSON and test data) and
 convert every integer with `operator.index`, so a float or a numeric string
@@ -46,8 +49,7 @@ def _built(cls, *values):
     declaration order, are `values` as given: kernel output, already ints
     and tuples of int tuples, so the constructor's conversion is skipped."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
 
 
@@ -202,8 +204,22 @@ def _first_bad_line(lines, name: str, n: int) -> str | None:
     return None
 
 
+#: instance attribute that holds the verdict of `validate`
+_VERDICT = "_verdict"
+
+
 def validate(obj) -> Verdict:
-    """Check all type invariants; names the first violation on rejection."""
+    """Check all type invariants; names the first violation on rejection.
+    The first verdict on an object is kept on it and returned after that."""
+    verdict = getattr(obj, "__dict__", {}).get(_VERDICT)
+    if verdict is None:
+        verdict = _check(obj)
+        obj.__dict__[_VERDICT] = verdict
+    return verdict
+
+
+def _check(obj) -> Verdict:
+    """The verdict of `validate`, computed afresh."""
     if isinstance(obj, MonotoneTriangle):
         if not obj.rows:
             return Verdict(False, "triangle has no rows")
@@ -244,6 +260,17 @@ def _require_valid(obj, name: str) -> None:
         raise ValueError(f"invalid {name}: {verdict.reason}")
 
 
+def _require_complete(triangle: MonotoneTriangle, message: str) -> int:
+    """The order of a valid triangle whose bottom row is 1..n; ValueError
+    with `message` if it is valid but not complete."""
+    _require_valid(triangle, "triangle")
+    bottom = triangle.rows[0]
+    # a valid bottom row increases strictly, so its two ends pin all of it
+    if not (bottom[0] == 1 and bottom[-1] == len(bottom)):
+        raise ValueError(message)
+    return len(bottom)
+
+
 def _row_differences(rows, n: int, upper: Sequence[int] = ()) -> tuple[tuple[int, ...], ...]:
     """Top-down matrix rows: the indicator of each bottom-up row minus that
     of the row above it, the topmost row taken against `upper`.  A triangle
@@ -279,10 +306,8 @@ def _supports(bottom: tuple[int, ...], entries, n: int) -> tuple[tuple[int, ...]
 def triangle_to_asm(triangle: MonotoneTriangle) -> Asm:
     """Row i of the matrix is the indicator difference of the triangle rows
     with n+1-i and n+2-i entries (counted from the bottom)."""
-    _require_valid(triangle, "triangle")
-    if not triangle.is_complete():
-        raise ValueError("triangle is not complete")
-    return _built(Asm, _row_differences(triangle.rows, triangle.n))
+    n = _require_complete(triangle, "triangle is not complete")
+    return _built(Asm, _row_differences(triangle.rows, n))
 
 
 def asm_to_triangle(matrix: Asm) -> MonotoneTriangle:
@@ -325,17 +350,13 @@ def partial_asm_to_trapezoid(matrix: PartialAsm, bottom: Sequence[int]) -> Monot
 # ---------------------------------------------------------------------------
 
 
-def _require_complete(triangle: MonotoneTriangle) -> int:
-    _require_valid(triangle, "triangle")
-    if not triangle.is_complete():
-        raise ValueError("map is defined on complete triangles only")
-    return triangle.n
+_MAP_DOMAIN = "map is defined on complete triangles only"
 
 
 def reflect_antidiagonal(triangle: MonotoneTriangle) -> MonotoneTriangle:
     """AD: b_{i,j} = #{x in the j-th SE-diagonal with x >= i}; corresponds to
     reflecting the matrix along the antidiagonal."""
-    n = _require_complete(triangle)
+    n = _require_complete(triangle, _MAP_DOMAIN)
     # the l-th SE-diagonal (a_{l,l}, ..., a_{1,l}); interlacing makes every
     # SE-diagonal weakly increasing
     rows = triangle.rows
@@ -349,7 +370,7 @@ def reflect_antidiagonal(triangle: MonotoneTriangle) -> MonotoneTriangle:
 def rotate_90(triangle: MonotoneTriangle) -> MonotoneTriangle:
     """R: c_{i,j} = #{x in the (n+1-j)-th NE-diagonal with x <= n+1-i};
     corresponds to rotating the matrix clockwise by 90 degrees."""
-    n = _require_complete(triangle)
+    n = _require_complete(triangle, _MAP_DOMAIN)
     # the l-th NE-diagonal (a_{1,l}, ..., a_{n-l+1,n}) is entry l of every
     # row that long; interlacing makes every NE-diagonal weakly increasing
     rows = triangle.rows
@@ -364,7 +385,7 @@ def reflect_horizontal(triangle: MonotoneTriangle) -> MonotoneTriangle:
     """H: row r of the image (r >= 2) is the complement in {1..n} of row
     n+2-r of the input; corresponds to reflecting the matrix along the
     horizontal symmetry axis."""
-    n = _require_complete(triangle)
+    n = _require_complete(triangle, _MAP_DOMAIN)
     universe = set(range(1, n + 1))
     rows = [tuple(range(1, n + 1))]
     for row in triangle.rows[:0:-1]:

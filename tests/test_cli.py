@@ -10,7 +10,7 @@ import time
 import pytest
 
 import asmlab
-from asmlab import cli
+from asmlab import cli, enumeration
 from asmlab.cli import main
 from asmlab.reports import decimal
 
@@ -360,7 +360,7 @@ class ClosedStream:
 
 
 def test_verify_warning_on_a_closed_stderr_does_not_stop_the_run(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "EXHAUSTIVE_FAMILY_CAP", 1)
+    monkeypatch.setattr(enumeration, "EXHAUSTIVE_FAMILY_CAP", 1)
     monkeypatch.setattr(sys, "stderr", ClosedStream())
     code = main(["verify", "--suite", "theorem7", "--n-max", "2"])
     lines = capsys.readouterr().out.splitlines()

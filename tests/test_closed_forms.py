@@ -129,6 +129,17 @@ def test_scaled_table_matches_the_unscaled_prefix_sums(n):
             assert stroganov_b(n, i, j) == reference[i - 1][j - 1], (n, i, j)
 
 
+@pytest.mark.parametrize("n", [*range(2, 21), 60])
+def test_two_row_form_over_small_numerators_equals_its_sum_over_b(n):
+    from asmlab.closed_forms import _a_weights
+
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            weights = _a_weights(n)[j - 1]
+            expected = sum(w * stroganov_b(n, i, k) for w, k in zip(weights, range(j, n + 1)))
+            assert a_nij(n, i, j) == expected, (n, i, j)
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_relation_identity(n):
     # the two-row relation is the circuit relation at (c, d, t) = (2, 0, 1)

@@ -265,6 +265,7 @@ def test_validate_names_the_first_violation(obj, reason):
     verdict = validate(obj)
     assert verdict.ok == (reason is None)
     assert verdict.reason == reason
+    assert validate(obj) is verdict  # kept on the object, reason and all
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -334,3 +335,67 @@ def test_partial_asm_reconstruction_errors(matrix, bottom, message):
 def test_non_integer_input_is_rejected_not_truncated(build, args):
     with pytest.raises(TypeError):
         build(*args)
+
+
+def test_a_second_validate_runs_no_second_check(monkeypatch):
+    calls = []
+    check = objects._validate_interlacing_rows
+    monkeypatch.setattr(objects, "_validate_interlacing_rows", lambda rows, m: calls.append(m) or check(rows, m))
+    triangle = MonotoneTriangle(EXAMPLE_TRIANGLE.rows)
+    assert validate(triangle) is validate(triangle)
+    assert calls == [5]
+
+
+def test_a_bijection_then_a_map_validates_the_triangle_once(monkeypatch):
+    calls = []
+    check = objects._validate_interlacing_rows
+    monkeypatch.setattr(objects, "_validate_interlacing_rows", lambda rows, m: calls.append(rows) or check(rows, m))
+    triangle = MonotoneTriangle(EXAMPLE_TRIANGLE.rows)
+    assert triangle_to_asm(triangle) == EXAMPLE_ASM
+    rotate_90(triangle)
+    assert calls == [triangle.rows]
+
+
+def test_each_object_keeps_its_own_verdict():
+    good, bad = MonotoneTriangle([(1, 2, 3), (1, 3), (2,)]), MonotoneTriangle([(1, 2, 3), (1, 3), (4,)])
+    assert validate(good) and not validate(bad)
+    good, bad = MonotoneTriangle(good.rows), MonotoneTriangle(bad.rows)
+    assert not validate(bad) and validate(good)
+
+
+@pytest.mark.parametrize(
+    "checked, fresh",
+    [
+        (MonotoneTriangle(EXAMPLE_TRIANGLE.rows), MonotoneTriangle(EXAMPLE_TRIANGLE.rows)),
+        (Asm(EXAMPLE_ASM.entries), Asm(EXAMPLE_ASM.entries)),
+        (
+            MonotoneTrapezoid(2, 4, [(1, 3, 4, 6), (2, 4, 5), (3, 4)], ambient_n=6),
+            MonotoneTrapezoid(2, 4, [(1, 3, 4, 6), (2, 4, 5), (3, 4)]),
+        ),
+    ],
+)
+def test_a_kept_verdict_changes_no_equality_hash_or_repr(checked, fresh):
+    assert validate(checked)
+    assert checked == fresh and hash(checked) == hash(fresh)
+    assert repr(checked).replace("ambient_n=6", "ambient_n=None") == repr(fresh)
+    assert {fresh: "fresh"}[checked] == "fresh"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(2, 3, 5), (3, 4), (3,)],
+        # one end of the bottom row is right, the other is not
+        [(1, 2, 4), (2, 3), (3,)],
+        [(0, 2, 3), (1, 3), (2,)],
+    ],
+)
+def test_incomplete_triangles_are_refused_with_the_same_text(rows):
+    partial = MonotoneTriangle(rows)
+    assert validate(partial) and not partial.is_complete()
+    for _ in range(2):  # before and after its verdict is kept
+        with pytest.raises(ValueError, match=r"^triangle is not complete$"):
+            triangle_to_asm(partial)
+        for op in (reflect_antidiagonal, rotate_90, reflect_horizontal):
+            with pytest.raises(ValueError, match=r"^map is defined on complete triangles only$"):
+                op(partial)
