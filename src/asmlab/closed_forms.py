@@ -13,13 +13,13 @@ step up from the largest order known; the row a_nk(n, 1..n), which is A_{n-1}
 times the small row u(n, k) = C(n+k-2, k-1) C(2n-k-1, n-k) over
 C(2n-2, n-1); the n x n table S of small numerators of Stroganov's B(n; i, j),
 from one O(n^2) pass of prefix sums along each diagonal j - i over the u rows
-of orders n and n - 1, with B = A_{n-2} S / D for one divisor D per order; the
-B table, which scales and divides every cell of S; and the signed binomial
-weights of `a_nij`, one row per j.  `a_nij` takes its dot product over the
-small numerators and scales and divides once per cell, so it never multiplies
-the large B cells; `a_nij_direct` is its own sum over a_nk, one pair of dot
-products with one signed weight row per l, and never touches S, the B table or
-those weights, so it stays a cross-check.
+of orders n and n - 1, with B = A_{n-2} S / D for one divisor D per order;
+and the signed binomial weights of `a_nij`, one row per j.  `stroganov_b`
+scales and divides its one cell of S when read, and `a_nij` takes its dot
+product over the small numerators and scales and divides once per cell, so it
+never multiplies the large B cells; `a_nij_direct` is its own sum over a_nk,
+one pair of dot products with one signed weight row per l, and never touches S
+or the weights of `a_nij`, so it stays a cross-check.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ def _padded(row: tuple[int, ...]) -> list[int]:
     return [0] * (m + 1) + list(row) + [0] * (m + 2)
 
 
-def _padded_row(m: int) -> list[int]:
-    """a_nk(m, k) at index k + m, padded as by `_padded`."""
-    return _padded(_a_row(m))
-
-
 @lru_cache(maxsize=64)
 def _s_table(n: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
     """(S, scale, divisor) with Stroganov's B(n; i, j) = scale S[i-1][j-1] /
@@ -131,17 +126,6 @@ def _s_table(n: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
     return tuple(tuple(row) for row in sums), scale, divisor
 
 
-@lru_cache(maxsize=64)
-def _b_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Stroganov's B(n; i, j) for 1 <= i, j <= n, row i at index i - 1; the
-    full numerator is divided exactly in every cell."""
-    sums, scale, divisor = _s_table(n)
-    return tuple(
-        tuple(_exact_div(scale * s, divisor, f"B({n},{i},{j})") for j, s in enumerate(row, 1))
-        for i, row in enumerate(sums, 1)
-    )
-
-
 def _check_pair(n: int, i: int, j: int) -> None:
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -151,9 +135,11 @@ def _check_pair(n: int, i: int, j: int) -> None:
 
 def stroganov_b(n: int, i: int, j: int) -> int:
     """Matrices with the bottom-row 1 in column i and top-row 1 in column j,
-    by summing Stroganov's difference formula from the boundary case."""
+    by summing Stroganov's difference formula from the boundary case; the
+    full numerator of the cell is divided exactly."""
     _check_pair(n, i, j)
-    return _b_table(n)[i - 1][j - 1]
+    sums, scale, divisor = _s_table(n)
+    return _exact_div(scale * sums[i - 1][j - 1], divisor, f"B({n},{i},{j})")
 
 
 @lru_cache(maxsize=64)
@@ -182,14 +168,14 @@ def a_nij(n: int, i: int, j: int) -> int:
 def a_nij_direct(n: int, i: int, j: int) -> int:
     """Single-formula version of a_nij with the summation indices untangled;
     must agree with the composition and is used as a cross-check.  Reads
-    only a_nk, never the B table or the weights of `a_nij`.
+    only a_nk, never S or the weights of `a_nij`.
 
     With k = l - i + j + t the double sum over l and k has the weight
     (-1)^(n+j+t) C(2n-2-j, t), independent of l, so each l takes two dot
     products of that one weight row: with the differences of a(n, .) and with
     a(n-1, .), both read from k = l - i + j on."""
     _check_pair(n, i, j)
-    cur, prev = _padded_row(n), _padded_row(n - 1)
+    cur, prev = _padded(_a_row(n)), _padded(_a_row(n - 1))
     p = n - 1  # a(n, k) = cur[k + n], a(n-1, k) = prev[k + p]
     diff = [0] + [b - a for a, b in zip(cur, cur[1:])]  # a(n, k) - a(n, k-1) at k + n
     weights = [(-1) ** ((n + j + t) % 2) * comb(2 * n - 2 - j, t) for t in range(n - j + 1)]

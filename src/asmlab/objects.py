@@ -49,7 +49,8 @@ def _built(cls, *values):
     declaration order, are `values` as given: kernel output, already ints
     and tuples of int tuples, so the constructor's conversion is skipped."""
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
     return obj
 
 
@@ -211,10 +212,10 @@ _VERDICT = "_verdict"
 def validate(obj) -> Verdict:
     """Check all type invariants; names the first violation on rejection.
     The first verdict on an object is kept on it and returned after that."""
-    verdict = getattr(obj, "__dict__", {}).get(_VERDICT)
+    verdict = getattr(obj, _VERDICT, None)
     if verdict is None:
         verdict = _check(obj)
-        obj.__dict__[_VERDICT] = verdict
+        object.__setattr__(obj, _VERDICT, verdict)
     return verdict
 
 

@@ -155,6 +155,33 @@ def test_verify_lists_each_comparison_once():
             assert (f"circuit n={n} c=2 d=0 t=1" in labels) == (n >= 2), n
 
 
+def test_verify_failure_exits_one_with_the_report(capsys, monkeypatch):
+    from asmlab import coefficients
+
+    count = coefficients.count_trapezoids
+    planted = (2, (1,), ())
+    monkeypatch.setattr(
+        coefficients,
+        "count_trapezoids",
+        lambda n, s, i: count(n, s, i) + ((n, tuple(s), tuple(i)) == planted),
+    )
+    code, out, _ = run(capsys, "verify", "--suite", "theorem7", "--n-max", "2")
+    assert code == 1
+    *status, report = out.splitlines()
+    assert len(status) == 9
+    assert [line for line in status if not line.endswith(": pass")] == ["theorem7 n=2 c=1 d=0: fail"]
+    report = json.loads(report)
+    assert report["status"] == "fail" and report["cases"] == 2
+    assert report["counterexamples"] == [{"input": {"s": ["1"], "i": []}, "expected": "2", "actual": "1"}]
+
+
+def test_coeff_mismatch_exits_one(capsys, monkeypatch):
+    count = enumeration.count_trapezoids
+    monkeypatch.setattr(enumeration, "count_trapezoids", lambda n, s, i: count(n, s, i) + 1)
+    code, out, _ = run(capsys, "coeff", "--n", "4", "--s", "1", "--method", "both")
+    assert code == 1 and out == "extract=7 brute=8 MISMATCH\n"
+
+
 def test_transform_roundtrip(tmp_path, capsys):
     tri = {"kind": "monotone_triangle", "n": 3, "rows_bottom_up": [[1, 2, 3], [1, 3], [2]]}
     path = tmp_path / "tri.json"
@@ -209,6 +236,19 @@ def test_convert_trapezoid_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["rows_bottom_up"] == trap["rows_bottom_up"]
+
+
+@pytest.mark.parametrize("ambient", [{}, {"ambient_n": None}])
+def test_trapezoid_without_ambient_width_needs_n(tmp_path, capsys, ambient):
+    trap = {"kind": "monotone_trapezoid", "d": 2, "m": 3, "rows_bottom_up": [[1, 2, 4], [2, 3]], **ambient}
+    path = tmp_path / "trap.json"
+    path.write_text(json.dumps(trap))
+    code, out, err = run(capsys, "convert", "--in", str(path), "--to", "partial_asm")
+    assert code == 2 and out == ""
+    assert err == "error: converting a trapezoid requires --n (ambient width)\n"
+    code, out, err = run(capsys, "convert", "--in", str(path), "--to", "partial_asm", "--n", "4")
+    assert code == 0 and err == ""
+    assert out == '{"kind": "partial_asm", "t": 1, "n": 4, "rows": [[1, 0, -1, 1]]}\n'
 
 
 def test_missing_file_is_usage_error(capsys):

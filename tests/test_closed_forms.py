@@ -102,9 +102,9 @@ def test_direct_form_agrees_on_a_sample_at_sixty():
 def unscaled_stroganov_table(n):
     """Stroganov's prefix sums over the a_nk rows themselves, each cell
     divided by A_{n-1}: the reference for the table built from u rows."""
-    from asmlab.closed_forms import _padded_row
+    from asmlab.closed_forms import _a_row, _padded
 
-    cur, prev = _padded_row(n), _padded_row(n - 1)
+    cur, prev = _padded(_a_row(n)), _padded(_a_row(n - 1))
     p = n - 1
     table = [[None] * n for _ in range(n)]
     for delta in range(1 - n, n):
@@ -138,6 +138,17 @@ def test_two_row_form_over_small_numerators_equals_its_sum_over_b(n):
             weights = _a_weights(n)[j - 1]
             expected = sum(w * stroganov_b(n, i, k) for w, k in zip(weights, range(j, n + 1)))
             assert a_nij(n, i, j) == expected, (n, i, j)
+
+
+def test_stroganov_b_scales_and_divides_its_own_cell(monkeypatch):
+    # B is symmetric in i and j, so only a planted table tells the cells apart
+    from asmlab import closed_forms
+
+    planted = tuple(tuple(3 * (10 * i + j) for j in range(1, 5)) for i in range(1, 5))
+    monkeypatch.setattr(closed_forms, "_s_table", lambda n: (planted, 2, 3))
+    for i in range(1, 5):
+        for j in range(1, 5):
+            assert stroganov_b(4, i, j) == 2 * (10 * i + j), (i, j)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -216,9 +227,9 @@ def test_total_steps_from_the_largest_known_order(monkeypatch):
 def test_direct_form_reads_no_b_table():
     from asmlab import closed_forms
 
-    closed_forms._b_table.cache_clear()
+    closed_forms._s_table.cache_clear()
     closed_forms._a_weights.cache_clear()
     a_nij_direct(9, 4, 6)
-    assert closed_forms._b_table.cache_info().currsize == 0
+    assert closed_forms._s_table.cache_info().currsize == 0
     assert closed_forms._a_weights.cache_info().currsize == 0
     assert a_nij_direct(9, 4, 6) == a_nij(9, 4, 6)

@@ -176,7 +176,7 @@ def test_refined_counts_read_no_closed_form(monkeypatch):
     def forbidden(*args):
         raise AssertionError("refined_counts read a closed form")
 
-    for name in ("asm_total", "a_nk", "stroganov_b", "a_nij", "_a_row", "_b_table"):
+    for name in ("asm_total", "a_nk", "stroganov_b", "a_nij", "_a_row", "_s_table"):
         monkeypatch.setattr(closed_forms, name, forbidden)
     assert refined_counts(6).total == TOTALS[5]
 

@@ -337,6 +337,12 @@ def test_non_integer_input_is_rejected_not_truncated(build, args):
         build(*args)
 
 
+@pytest.mark.parametrize("value", [42, "x"])
+def test_validate_refuses_what_is_no_object(value):
+    with pytest.raises(TypeError, match=r"^cannot validate (int|str)$"):
+        validate(value)
+
+
 def test_a_second_validate_runs_no_second_check(monkeypatch):
     calls = []
     check = objects._validate_interlacing_rows
