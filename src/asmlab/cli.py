@@ -4,11 +4,12 @@ Subcommands: count, coeff, table, verify, transform, convert.  All counts are
 printed as decimal strings and never as JSON numbers; output is byte-identical
 across runs for identical arguments.  Exit status: 0 success / all checks
 pass, 1 verification failure, 2 usage error (bad arguments or input files, a
-malformed ASMLAB_TERM_CAP, a polynomial outgrowing that cap, a `coeff --n`
-above 256, whose alpha_n has exponents past the 255 its keys hold, or a stdout
-closed before all output was written, as by `| head -1`), 3 any other error; an error
-prints one `error:` line on stderr and no traceback.  A closed stderr drops
-warnings and the `error:` line and changes no exit status.
+malformed ASMLAB_TERM_CAP, an order whose polynomials could outgrow that cap
+or, past 256, have exponents past the 255 their keys hold, both refused before
+any work, or a stdout closed before all output was written, as by `| head -1`),
+3 any other error; an error prints one `error:` line on stderr and no
+traceback.  A closed stderr drops warnings and the `error:` line and changes
+no exit status.
 
 Each command imports only the layers it uses, and `--help` loads none.  Every
 command loads `polynomials`, which reads ASMLAB_TERM_CAP.
@@ -189,8 +190,17 @@ def _verify_cases(suite: str, n_max: int):
 
 
 def cmd_verify(args) -> int:
+    from . import enumeration
+    from .polynomials import check_order
+
     if args.n_max < 1:
         raise UsageError("--n-max must be positive; a check of zero cases is not a pass")
+    try:
+        check_order(args.n_max)  # before the first line; TermCapExceeded exits 2 in main
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    if args.n_max > enumeration.EXHAUSTIVE_FAMILY_CAP:
+        _warn(args, f"exhaustive verification beyond n={enumeration.EXHAUSTIVE_FAMILY_CAP} may be very slow")
     failures = []
     for label, check, check_args in _verify_cases(args.suite, args.n_max):
         report = check(*check_args)
@@ -326,11 +336,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)  # exits on --help before any layer loads
     from .polynomials import TermCapExceeded
 
-    if args.command == "verify":
-        from .enumeration import EXHAUSTIVE_FAMILY_CAP
-
-        if args.n_max > EXHAUSTIVE_FAMILY_CAP:
-            _warn(args, f"exhaustive verification beyond n={EXHAUSTIVE_FAMILY_CAP} may be very slow")
     try:
         if args.jobs < 1:
             raise UsageError("--jobs must be positive")

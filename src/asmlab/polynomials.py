@@ -29,17 +29,25 @@ wrong length or an exponent outside 0..255 with ValueError; `exponent_terms()`
 reads the terms back as tuples.  The encoding stays inside this module.
 
 The carry guard: an exponent above 255 would carry into its neighbour's byte.
-So every kernel that raises exponents (`apply_sigma`, the Vandermonde product
-and a re-expansion row past index 255) first checks the bound from a degree
-it already knows and raises ValueError; it never wraps silently.  A shift is
-a re-expansion whose row for exponent e ends at index e, and a difference
-lowers an exponent, so neither raises one.
+So every kernel that raises exponents (`apply_sigma` and a re-expansion row
+past index 255) first checks the bound from a degree it already knows and
+raises ValueError; it never wraps silently.  A shift is a re-expansion whose
+row for exponent e ends at index e, and a difference lowers an exponent, so
+neither raises one.
+
+The order check.  alpha_n has degree at most n - 1 in each variable, so it
+fits the n^n exponent grid, and whether an order may be built is known before
+any work.  `check_order` makes that whole decision once, before a build of
+alpha_n or of the Vandermonde product starts: n >= 1, exponents up to n - 1
+within 255, and the build's size bound (n^n, or n! terms for the Vandermonde
+product) within the term cap ASMLAB_TERM_CAP.  No kernel reads the cap, so a
+polynomial a caller builds or transforms directly is not capped.
 """
 
 from __future__ import annotations
 
 import os
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 from operator import getitem, itemgetter
@@ -53,22 +61,18 @@ TERM_CAP_ENV = "ASMLAB_TERM_CAP"
 
 
 class TermCapExceeded(RuntimeError):
-    """Raised when a polynomial would exceed the configured term cap.
+    """Raised by `check_order` when the build `construction` of order n
+    could reach `terms` terms, more than the term cap `cap`."""
 
-    `construction` and `n` name the build of alpha_n (or of the Vandermonde
-    product) during which the cap was hit; both are None outside one.
-    """
-
-    def __init__(self, terms: int, cap: int):
-        super().__init__(terms, cap)
-        self.terms = terms
-        self.cap = cap
-        self.construction: str | None = None
-        self.n: int | None = None
+    def __init__(self, construction: str, n: int, terms: int, cap: int):
+        super().__init__(construction, n, terms, cap)
+        self.construction, self.n, self.terms, self.cap = construction, n, terms, cap
 
     def __str__(self) -> str:
-        where = f"{self.construction}(n={self.n}): " if self.construction else ""
-        return f"{where}{self.terms} terms exceeds cap {self.cap} (raise it with {TERM_CAP_ENV})"
+        return (
+            f"{self.construction}(n={self.n}) may need up to {self.terms} terms, above the cap"
+            f" {self.cap} (raise it with {TERM_CAP_ENV})"
+        )
 
 
 def term_cap() -> int:
@@ -88,26 +92,19 @@ def term_cap() -> int:
     return cap
 
 
-def _check_cap(terms: int) -> None:
-    cap = term_cap()
+def check_order(
+    n: int, construction: str = "alpha_via_recursion", size: Callable[[int], int] = lambda n: n**n
+) -> None:
+    """Refuse order n of `construction` before it is built (module docstring):
+    n < 1 or an exponent n - 1 past MAX_EXPONENT raises ValueError before
+    size(n) is computed, and more than the term cap of size(n) terms raises
+    TermCapExceeded.  The default size is alpha_n's n^n exponent grid."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    _raised_past_limit(n - 1, f"{construction}({n})")
+    terms, cap = size(n), term_cap()
     if terms > cap:
-        raise TermCapExceeded(terms, cap)
-
-
-def _names_cap_hits(build):
-    """Tag a TermCapExceeded raised inside build(n, ...) with the build's name
-    and n; the innermost tagged build wins."""
-
-    @wraps(build)
-    def wrapper(n, *args, **kwargs):
-        try:
-            return build(n, *args, **kwargs)
-        except TermCapExceeded as exc:
-            if exc.construction is None:
-                exc.construction, exc.n = build.__name__, n
-            raise
-
-    return wrapper
+        raise TermCapExceeded(construction, n, terms, cap)
 
 
 def _packed_terms(arity: int, terms: Mapping[tuple[int, ...], int] | None) -> dict[int, int]:
@@ -125,7 +122,6 @@ def _packed_terms(arity: int, terms: Mapping[tuple[int, ...], int] | None) -> di
             raise ValueError(f"exponent vector {exps} has an exponent above {MAX_EXPONENT}")
         if coef:
             clean[int.from_bytes(bytes(exps), "little")] = coef
-    _check_cap(len(clean))
     return clean
 
 
@@ -279,7 +275,6 @@ class BinomialPoly:
         poly = cls.__new__(cls)
         poly.arity = arity
         poly.terms = {e: c for e, c in terms.items() if c}
-        _check_cap(len(poly.terms))
         return poly
 
     def exponent_terms(self) -> dict[tuple[int, ...], int]:
@@ -375,21 +370,16 @@ class BinomialPoly:
         return BinomialPoly._of(arity, self.terms)
 
 
-@_names_cap_hits
 def vandermonde(n: int) -> BinomialPoly:
     """The normalized Vandermonde product prod_{i<j} (k_j - k_i) / (j - i).
 
     It is det[C(k_i, j - 1)]: column operations reduce column j to
     k_i^(j-1) / (j-1)!, and prod_j (j-1)! = prod_{i<j} (j - i).  So it has one
     term per permutation sigma of 0..n-1, C(k_1, sigma_1) ... C(k_n, sigma_n)
-    with the sign of sigma.  The carry guard and the term cap are
-    checked before any permutation is enumerated; a cap hit is tagged
-    vandermonde(n).
+    with the sign of sigma.  `check_order` holds its n! terms against the
+    term cap before any permutation is enumerated.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    _raised_past_limit(n - 1, f"vandermonde({n})")
-    _check_cap(factorial(n))
+    check_order(n, "vandermonde", factorial)
     terms = {}
     for sigma in permutations(range(n)):
         inversions = sum(a > b for a, b in combinations(sigma, 2))
@@ -430,7 +420,6 @@ def apply_sigma(poly: BinomialPoly, lo: int, hi: int) -> BinomialPoly:
     level = {hi: poly.terms}
     for h in range(hi, lo, -1):
         q = {e: c for e, c in level.pop(h).items() if c}
-        _check_cap(len(q))
         _sigma_step(q, level.setdefault(h - 1, {}), 8 * (h - 2), True)
         if h - 2 >= lo:
             _sigma_step(q, level.setdefault(h - 2, {}), 8 * (h - 3), False)
@@ -473,17 +462,16 @@ def summation_operator(poly: BinomialPoly) -> BinomialPoly:
 
 
 @lru_cache(maxsize=8)
-@_names_cap_hits
 def alpha_via_recursion(n: int) -> BinomialPoly:
     """The monotone-triangle counting polynomial alpha_n in the binomial
-    basis.  alpha_n has exponents up to n - 1, so an order above
-    MAX_EXPONENT + 1 raises ValueError before any lower order is requested.
-    The orders below n - 1 are requested first, upward, so each is a hit or
-    one summation step and the term cap stops at the first order too large;
-    while they fit the cache, no call nests deeper than one order."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _raised_past_limit(n - 1, f"alpha_via_recursion({n})")
+    basis, by the summation-operator recursion.  `check_order(n)` refuses an
+    order too large before any lower order is requested.  The pending levels
+    of `apply_sigma` reach exponent 2n - 3, outside the n^n grid, but for
+    n <= 8 none holds more terms than alpha_n.  The lower orders are
+    requested upward only to bound the recursion depth: each is a hit or one
+    summation step, and while they fit the cache no call nests deeper than
+    one order."""
+    check_order(n)
     if n == 1:
         return BinomialPoly(1, {(0,): 1})
     for m in range(2, n - 1):
@@ -491,15 +479,16 @@ def alpha_via_recursion(n: int) -> BinomialPoly:
     return summation_operator(alpha_via_recursion(n - 1))
 
 
-@_names_cap_hits
 def alpha_via_operator(n: int) -> BinomialPoly:
     """alpha_n from Fischer's operator formula applied to vandermonde(n).
 
     Each pair factor p < q is id + E_p Delta_q: one pass lowers axis q by
     the difference row, one re-expands axis p by the h = 1 shift row, and
     the operand is added back.  The factors commute, so the application
-    order over pairs is irrelevant.
+    order over pairs is irrelevant.  No pass raises an exponent, so every
+    intermediate fits the n^n grid that `check_order` holds against the cap.
     """
+    check_order(n, "alpha_via_operator")
     terms = vandermonde(n).terms
     for p, q in combinations(range(n), 2):  # 0-based axes
         diff = axis_transform(terms, q, _difference_row)
@@ -507,5 +496,4 @@ def alpha_via_operator(n: int) -> BinomialPoly:
         for e, c in terms.items():
             step[e] = step.get(e, 0) + c
         terms = {e: c for e, c in step.items() if c}
-        _check_cap(len(terms))
     return BinomialPoly._of(n, terms)

@@ -310,9 +310,9 @@ def test_term_cap_hit_names_the_construction():
 
 
 def test_term_cap_hit_at_a_large_order_is_usage_error():
-    # alpha_256, the largest order the packed keys hold, is built upward, so
-    # the cap stops it at a small order; a recursion 256 orders deep, two
-    # frames per order, would pass the limit of 300 first
+    # alpha_256, the largest order the packed keys hold, is refused by its
+    # 256^256 grid before any lower order is built; a recursion 256 orders
+    # deep, two frames per order, would pass the limit of 300 first
     code, _, err = run_process(
         "coeff", "--n", "256", "--s", "1", env={"ASMLAB_TERM_CAP": "1000"}, recursion_limit=300
     )
@@ -330,6 +330,41 @@ def test_order_past_the_exponent_limit_is_usage_error_at_once():
     assert_usage_error(code, err)
     assert len(err.splitlines()) == 1
     assert "alpha_via_recursion(300) could raise an exponent to 299, above 255" in err
+
+
+def test_order_eight_is_refused_before_any_work():
+    # 8^8 = 16,777,216 is past the default cap of 2,000,000; the build of
+    # alpha_8 that this refusal replaces took 17 s and 700 MB
+    start = time.monotonic()
+    code, out, err = run_process("coeff", "--n", "8", "--s", "1")
+    assert time.monotonic() - start < 5
+    assert_usage_error(code, err)
+    assert out == "" and len(err.splitlines()) == 1
+    assert "alpha_via_recursion(n=8)" in err and "16777216" in err
+
+
+def test_brute_force_at_order_eight_builds_no_polynomial():
+    assert run_process("coeff", "--n", "8", "--s", "1", "--method", "brute") == (0, "218348\n", "")
+
+
+@pytest.mark.parametrize("n_max", ["8", "300"])
+def test_verify_refuses_an_order_before_its_first_line(n_max):
+    # n = 8 is past the term cap, n = 300 past the exponent limit; neither
+    # runs n <= 7 first, nor warns that the run may be slow
+    start = time.monotonic()
+    code, out, err = run_process("verify", "--suite", "all", "--n-max", n_max)
+    assert time.monotonic() - start < 5
+    assert_usage_error(code, err)
+    assert out == "" and len(err.splitlines()) == 1
+
+
+def test_exponent_limit_is_checked_before_the_grid_size():
+    # 100000000^100000000 would take far longer than this to compute
+    start = time.monotonic()
+    code, _, err = run_process("coeff", "--n", "100000000")
+    assert time.monotonic() - start < 5
+    assert_usage_error(code, err)
+    assert "could raise an exponent to 99999999, above 255" in err
 
 
 # an empty PYTHONUNBUFFERED buffers stdout: count's one line fails only at the

@@ -21,7 +21,8 @@ from asmlab import (
     summation_operator,
     vandermonde,
 )
-from asmlab.polynomials import TERM_CAP_ENV, _difference_row, _substitution_row, _translation_row
+from asmlab import coefficients, polynomials
+from asmlab.polynomials import TERM_CAP_ENV, _difference_row, _substitution_row, _translation_row, check_order
 
 
 @lru_cache(maxsize=4096)
@@ -186,13 +187,6 @@ def test_numerators_must_be_ints(coef):
         BinomialPoly(1, {(1,): coef})
 
 
-def test_term_cap_env(monkeypatch):
-    monkeypatch.setenv(TERM_CAP_ENV, "3")
-    BinomialPoly(1, {(e,): 1 for e in range(3)})
-    with pytest.raises(TermCapExceeded):
-        BinomialPoly(1, {(e,): 1 for e in range(4)})
-
-
 # ---------------------------------------------------------------------------
 # changes of variable against the pointwise oracle
 # ---------------------------------------------------------------------------
@@ -352,23 +346,19 @@ def test_binomial_evaluation_at_negative_points(b, point):
     assert b.evaluate(point) == value_at(b, point)
 
 
-def test_binomial_term_cap(monkeypatch):
-    b = BinomialPoly(2, {(2, 2): 1})
-    monkeypatch.setenv(TERM_CAP_ENV, "3")
-    with pytest.raises(TermCapExceeded):
-        b.shift(1, 1).shift(2, 1)
-
-
 def test_term_cap_names_construction(monkeypatch):
     monkeypatch.setenv(TERM_CAP_ENV, "2")
     with pytest.raises(TermCapExceeded) as exc:
         alpha_via_operator(3)
-    assert (exc.value.construction, exc.value.n) == ("vandermonde", 3)
+    assert (exc.value.construction, exc.value.n) == ("alpha_via_operator", 3)
+    with pytest.raises(TermCapExceeded) as exc:
+        vandermonde(3)
     assert "vandermonde(n=3)" in str(exc.value)
 
 
 def test_term_cap_inside_the_operator_product(monkeypatch):
-    # vandermonde(3) has 6 terms, so a cap of 10 is hit by a pair factor
+    # vandermonde(3) has 6 terms and fits a cap of 10, but the operator
+    # product is held to its 3^3 grid before the Vandermonde product is built
     monkeypatch.setenv(TERM_CAP_ENV, "10")
     assert len(vandermonde(3).terms) == 6
     with pytest.raises(TermCapExceeded) as exc:
@@ -380,7 +370,18 @@ def test_term_cap_inside_the_operator_product(monkeypatch):
 def test_malformed_term_cap_raises_value_error(monkeypatch, raw):
     monkeypatch.setenv(TERM_CAP_ENV, raw)
     with pytest.raises(ValueError):
-        BinomialPoly(1, {(0,): 1})
+        check_order(2)
+
+
+def test_order_eight_needs_its_whole_grid_under_the_cap(monkeypatch):
+    # decided from 8^8 = 16,777,216 alone: check_order builds nothing
+    monkeypatch.setattr(polynomials, "summation_operator", None)
+    monkeypatch.setenv(TERM_CAP_ENV, "16777216")
+    check_order(8)
+    monkeypatch.setenv(TERM_CAP_ENV, "16777215")
+    with pytest.raises(TermCapExceeded) as exc:
+        check_order(8)
+    assert (exc.value.construction, exc.value.n, exc.value.terms) == ("alpha_via_recursion", 8, 8**8)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +414,8 @@ def test_alpha_term_counts(n, terms):
 
 
 def test_term_cap_inside_the_summation_operator(monkeypatch):
-    # alpha_5 (1,105 terms) is built and cached first; summing it up to
-    # alpha_6 (14,172 terms) hits the cap inside apply_sigma
+    # alpha_5 (1,105 terms) is built and cached first; alpha_6's 6^6 grid
+    # is refused before apply_sigma sums it up, though alpha_6 has 14,172 terms
     alpha_via_recursion(5)
     monkeypatch.setenv(TERM_CAP_ENV, "2000")
     with pytest.raises(TermCapExceeded) as exc:
@@ -425,8 +426,9 @@ def test_term_cap_inside_the_summation_operator(monkeypatch):
 def test_term_cap_stops_a_large_order_before_any_deep_recursion(monkeypatch):
     # alpha_256 is the largest order the packed keys hold.  A recursion one
     # order per level nests two frames per order, about 512 here, and would
-    # pass a limit 200 frames above this test; the upward build stays below it.
+    # pass a limit 200 frames above this test; the order is refused first.
     monkeypatch.setenv(TERM_CAP_ENV, "1000")
+    before = alpha_via_recursion.cache_info()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(traceback.extract_stack()) + 200)
     try:
@@ -434,8 +436,59 @@ def test_term_cap_stops_a_large_order_before_any_deep_recursion(monkeypatch):
             alpha_via_recursion(256)
     finally:
         sys.setrecursionlimit(limit)
-    # the first order past 1,000 terms is at most alpha_8, whichever are cached
-    assert exc.value.construction == "alpha_via_recursion" and exc.value.n <= 8
+    assert (exc.value.construction, exc.value.n) == ("alpha_via_recursion", 256)
+    # the refused call is the one miss: no lower order was requested
+    after = alpha_via_recursion.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses + 1, before.currsize)
+
+
+def test_term_cap_boundary_at_a_real_build(monkeypatch):
+    # alpha_5 has 1,105 terms; its 5^5 = 3,125 grid decides whether it is built
+    alpha_via_recursion(4)
+    monkeypatch.setenv(TERM_CAP_ENV, "3125")
+    assert len(alpha_via_recursion.__wrapped__(5).terms) == 1105
+    monkeypatch.setenv(TERM_CAP_ENV, "3124")
+    monkeypatch.setattr(polynomials, "summation_operator", None)  # any call would fail
+    with pytest.raises(TermCapExceeded) as exc:
+        alpha_via_recursion.__wrapped__(5)
+    assert (exc.value.construction, exc.value.n, exc.value.terms) == ("alpha_via_recursion", 5, 3125)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_every_pending_level_fits_the_grid_of_its_order(monkeypatch, n):
+    # the levels reach exponent 2n - 3, outside the n^n grid that check_order
+    # holds against the cap; the check rests on their term counts staying within it
+    largest = []
+    step = polynomials._sigma_step
+
+    def counted(q, *args):
+        largest.append(len(q))
+        return step(q, *args)
+
+    monkeypatch.setattr(polynomials, "_sigma_step", counted)
+    alpha_via_recursion.cache_clear()
+    try:
+        alpha_via_recursion(n)
+    finally:
+        alpha_via_recursion.cache_clear()
+    assert largest and max(largest) <= n**n
+
+
+def test_classes_and_tables_read_no_term_cap(monkeypatch):
+    # with alpha_6 built, the order check is the only reader of the cap, so
+    # no class, table or cell of n = 6 reads it again
+    alpha_via_recursion(6)
+    calls = []
+    monkeypatch.setattr(polynomials, "term_cap", lambda: calls.append(1) or 1)
+    coefficients._specialized_alpha.cache_clear()
+    try:
+        for c in range(7):
+            for d in range(7 - c):
+                coefficients.coefficient_table(6, c, d)
+        coefficients.extract_coefficient(coefficients.IndexTuplePair(6, (1, 2), (3,)))
+    finally:
+        coefficients._specialized_alpha.cache_clear()
+    assert calls == []
 
 
 def test_an_order_past_the_exponent_limit_requests_no_lower_order():
